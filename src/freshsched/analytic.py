@@ -27,6 +27,8 @@ class ClosedFormResult:
     tail_mass: "float | None" = None
     residual: "float | None" = None
     conservation_gap: "float | None" = None
+    truncation: "Tuple[int, int] | None" = None  # final (c_q, c_u) of the chain
+    n_states: "int | None" = None
 
 
 def paoi_from_update_system_time(params: ModelParams, expected_t_u: float) -> float:
@@ -99,21 +101,34 @@ def conservation_rhs(params: ModelParams) -> float:
 
 def _solve_threshold_chain(params: ModelParams, policy,
                            truncation: "int | None") -> ctmc.CtmcSolution:
+    """Stationary solve; without an explicit truncation, each side grows on
+    its own until the tail mass is below ``ctmc.TAIL_TOLERANCE``."""
     stability_guard(params)
     if truncation is not None:
         spec = ctmc.CtmcSpec(params, policy, truncation, truncation)
         return ctmc.solve_stationary(ctmc.build_ctmc(spec))
-    c = max(64, math.ceil(8.0 / (1.0 - params.rho)))
+    # the low-priority queue is the long one: it starts where the square
+    # truncation used to, the prioritized one at twice the threshold region
+    low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
+    high = max(16, 2 * (policy.k + 1))
+    c_q, c_u = (high, low) if isinstance(policy, QueryK) else (low, high)
     while True:
-        spec = ctmc.CtmcSpec(params, policy, c, c)
+        spec = ctmc.CtmcSpec(params, policy, c_q, c_u)
         solution = ctmc.solve_stationary(ctmc.build_ctmc(spec))
         if solution.tail_mass < ctmc.TAIL_TOLERANCE:
             return solution
-        c *= 2
-        if c > ctmc.MAX_TRUNCATION:
+        # the union is at most the sum of the bands, so one side always grows
+        half = ctmc.TAIL_TOLERANCE / 2
+        if solution.tail_mass_q >= half:
+            c_q *= 2
+        if solution.tail_mass_u >= half:
+            c_u *= 2
+        if max(c_q, c_u) > ctmc.MAX_TRUNCATION or c_q * c_u > ctmc.MAX_STATES:
             raise ctmc.NoConvergence(
                 f"tail mass {solution.tail_mass:g} still above "
-                f"{ctmc.TAIL_TOLERANCE:g} at truncation {c // 2}")
+                f"{ctmc.TAIL_TOLERANCE:g} at truncation {spec.c_q} x {spec.c_u}; "
+                f"{c_q} x {c_u} would pass the cap of {ctmc.MAX_TRUNCATION} "
+                f"per side or {ctmc.MAX_STATES} states")
 
 
 def query_k_metrics(params: ModelParams, k: int,
@@ -129,7 +144,9 @@ def query_k_metrics(params: ModelParams, k: int,
         "query-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
         expected_nq=nq, expected_nu=nu,
         tail_mass=solution.tail_mass, residual=solution.residual,
-        conservation_gap=abs(nu_direct - nu))
+        conservation_gap=abs(nu_direct - nu),
+        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
+        n_states=len(solution.rates.states))
 
 
 def update_k_metrics(params: ModelParams, k: int,
@@ -145,4 +162,6 @@ def update_k_metrics(params: ModelParams, k: int,
         "update-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
         expected_nq=nq, expected_nu=nu,
         tail_mass=solution.tail_mass, residual=solution.residual,
-        conservation_gap=abs(nq_direct - nq))
+        conservation_gap=abs(nq_direct - nq),
+        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
+        n_states=len(solution.rates.states))

@@ -101,6 +101,9 @@ def _print_result(result: analytic.ClosedFormResult) -> None:
     if result.tail_mass is not None:
         print(f"truncated tail mass = {result.tail_mass:.3g}")
         print(f"balance residual = {result.residual:.3g}")
+    if result.truncation is not None:
+        c_q, c_u = result.truncation
+        print(f"truncation = {c_q} x {c_u} ({result.n_states} states)")
 
 
 def _single_point_rows(source, policy, params, result=None, stats=None, sim=None):

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .model import ModelParams, QueryK, Unbounded, UpdateK
@@ -23,6 +25,10 @@ Z_IDLE, Z_QUERY, Z_UPDATE = 0, 1, 2
 TAIL_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
 MAX_TRUNCATION = 4096
+# A truncation has about c_q * c_u states. The sparse solve peaks at 10 KB per
+# state on a square truncation and at 25 KB on a long thin one, so this cap
+# keeps one chain under about 1.6 GB.
+MAX_STATES = 2 ** 16
 
 
 class TruncationTooSmall(ValueError):
@@ -77,6 +83,11 @@ class CtmcRates:
     index: Dict[Tuple[int, int, int], int]
     transitions: List[Tuple[int, int, float]]
 
+    @cached_property
+    def state_array(self) -> np.ndarray:
+        """The states as an (n, 3) integer array of (n_q, n_u, z) rows."""
+        return np.array(self.states, dtype=np.int64).reshape(-1, 3)
+
 
 def _emptying(policy, position: ServerPosition) -> bool:
     # under a single-threshold policy the prioritized queue is always being
@@ -87,6 +98,9 @@ def _emptying(policy, position: ServerPosition) -> bool:
 
 
 def build_ctmc(spec: CtmcSpec) -> CtmcRates:
+    if spec.c_q * spec.c_u > MAX_STATES:
+        raise NoConvergence(
+            f"truncation {spec.c_q} x {spec.c_u} exceeds the cap of {MAX_STATES} states")
     params, policy = spec.params, spec.policy
     start = (0, 0, Z_IDLE)
     index = {start: 0}
@@ -127,48 +141,46 @@ class CtmcSolution:
     probabilities: np.ndarray
     residual: float
     tail_mass: float
+    # mass on each side's boundary band (n_q >= c_q - 1, n_u >= c_u - 1);
+    # tail_mass is the mass of their union
+    tail_mass_q: float = 0.0
+    tail_mass_u: float = 0.0
 
     def probability(self, state: Tuple[int, int, int]) -> float:
         idx = self.rates.index.get(state)
         return 0.0 if idx is None else float(self.probabilities[idx])
 
 
-def _check_recurrent(rates: CtmcRates) -> None:
+def _check_recurrent(qt: sp.csr_matrix, target: int) -> None:
     # every state must be able to reach the empty state, otherwise the
-    # truncated chain has a transient piece the solve cannot normalize over
-    n = len(rates.states)
-    reverse: List[List[int]] = [[] for _ in range(n)]
-    for si, ti, _ in rates.transitions:
-        reverse[ti].append(si)
-    target = rates.index.get((0, 0, Z_IDLE), 0)
-    seen = [False] * n
-    seen[target] = True
-    stack = [target]
-    while stack:
-        node = stack.pop()
-        for prev in reverse[node]:
-            if not seen[prev]:
-                seen[prev] = True
-                stack.append(prev)
-    if not all(seen):
+    # truncated chain has a transient piece the solve cannot normalize over;
+    # qt has an entry (t, s) for each transition s -> t, so a search from the
+    # empty state along its rows walks the transitions backwards
+    reached = csgraph.breadth_first_order(qt, target, directed=True,
+                                          return_predecessors=False)
+    if len(reached) < qt.shape[0]:
         raise Reducible("states exist that cannot reach the empty state")
 
 
 def solve_stationary(rates: CtmcRates) -> CtmcSolution:
     """Solve pi Q = 0 with sum(pi) = 1 by sparse direct factorization."""
-    _check_recurrent(rates)
     n = len(rates.states)
-    rows, cols, vals = [], [], []
-    for si, ti, rate in rates.transitions:
-        rows.append(ti)
-        cols.append(si)
-        vals.append(rate)
-        rows.append(si)
-        cols.append(si)
-        vals.append(-rate)
+    edges = np.array(rates.transitions, dtype=float).reshape(-1, 3)
+    src = edges[:, 0].astype(np.int64)
+    dst = edges[:, 1].astype(np.int64)
+    # Q^T gets (t, s, rate) then (s, s, -rate) per transition s -> t; the
+    # duplicates are summed in this order, which fixes the matrix to the bit
+    rows = np.empty(2 * len(edges), dtype=np.int64)
+    cols = np.empty_like(rows)
+    vals = np.empty(2 * len(edges))
+    rows[0::2], rows[1::2] = dst, src
+    cols[0::2], cols[1::2] = src, src
+    vals[0::2], vals[1::2] = edges[:, 2], -edges[:, 2]
     qt = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
     norm_row = rates.index.get((0, 0, Z_IDLE), 0)
+    _check_recurrent(qt, norm_row)
+
     keep = qt.tocoo()
     mask = keep.row != norm_row
     rows2 = np.concatenate([keep.row[mask], np.full(n, norm_row)])
@@ -189,18 +201,17 @@ def solve_stationary(rates: CtmcRates) -> CtmcSolution:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
-    tail = 0.0
     spec = rates.spec
-    if spec is not None:
-        for (i, j, _z), p in zip(rates.states, pi):
-            if i >= spec.c_q - 1 or j >= spec.c_u - 1:
-                tail += p
-    return CtmcSolution(rates, pi, residual, float(tail))
+    if spec is None:
+        return CtmcSolution(rates, pi, residual, 0.0)
+    band_q = rates.state_array[:, 0] >= spec.c_q - 1
+    band_u = rates.state_array[:, 1] >= spec.c_u - 1
+    return CtmcSolution(rates, pi, residual, float(pi[band_q | band_u].sum()),
+                        float(pi[band_q].sum()), float(pi[band_u].sum()))
 
 
 def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     """Direct first moments (E[N_q], E[N_u]) of the stationary distribution."""
-    i_arr = np.fromiter((s[0] for s in solution.rates.states), dtype=float)
-    j_arr = np.fromiter((s[1] for s in solution.rates.states), dtype=float)
+    states = solution.rates.state_array
     pi = solution.probabilities
-    return float(i_arr @ pi), float(j_arr @ pi)
+    return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)

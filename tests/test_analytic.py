@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freshsched import ctmc
 from freshsched.analytic import (
     conservation_rhs,
     fcfs_metrics,
@@ -162,7 +163,34 @@ class TestThresholdChainMetrics:
         assert r.conservation_gap < 1e-6
 
     def test_class_swap_symmetry(self):
-        q = query_k_metrics(params(0.4, 0.2, 1.0, 1.0), 2)
-        u = update_k_metrics(params(0.2, 0.4, 1.0, 1.0), 2)
-        assert u.expected_nu == pytest.approx(q.expected_nq, rel=1e-8)
-        assert u.expected_nq == pytest.approx(q.expected_nu, rel=1e-8)
+        for (lu, lq), k in (((0.4, 0.2), 2), ((0.85, 0.1), 1)):
+            q = query_k_metrics(params(lu, lq, 1.0, 1.0), k)
+            u = update_k_metrics(params(lq, lu, 1.0, 1.0), k)
+            assert u.expected_nu == pytest.approx(q.expected_nq, rel=1e-8)
+            assert u.expected_nq == pytest.approx(q.expected_nu, rel=1e-8)
+            # the automatic truncation grows the mirrored sides
+            assert u.truncation == q.truncation[::-1]
+            assert u.n_states == q.n_states
+
+    def test_two_sided_truncation_grows_only_the_long_queue(self):
+        p = params(0.85, 0.1)
+        chain = query_k_metrics(p, 1)
+        exact = query1_metrics(p)
+        assert chain.expected_response_time == pytest.approx(
+            exact.expected_response_time, rel=1e-6)
+        assert chain.expected_paoi == pytest.approx(exact.expected_paoi, rel=1e-6)
+        assert chain.tail_mass < 1e-8
+        c_q, c_u = chain.truncation
+        assert c_q < c_u
+        assert chain.n_states < 20000
+
+    def test_explicit_truncation_sets_both_sides(self):
+        r = query_k_metrics(params(0.5, 0.1), 3, truncation=48)
+        assert r.truncation == (48, 48)
+        assert r.n_states > 48 * 48
+
+    def test_growth_past_state_cap_raises(self, monkeypatch):
+        # (0.85, 0.1) starts at 16 x 160 and needs 16 x 320
+        monkeypatch.setattr(ctmc, "MAX_STATES", 16 * 160)
+        with pytest.raises(ctmc.NoConvergence, match="tail mass"):
+            query_k_metrics(params(0.85, 0.1), 1)

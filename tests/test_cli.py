@@ -1,6 +1,6 @@
 import pytest
 
-from freshsched import cli
+from freshsched import cli, ctmc
 from freshsched.config import (
     ParseError,
     SweepAxis,
@@ -201,6 +201,20 @@ class TestCliCommands:
         code = cli.main(["solve", "--policy", "query-k", "--k", "5",
                          "--lambda-u", "0.5", "--lambda-q", "0.1", "--trunc", "4"])
         assert code == 2
+
+    def test_solve_prints_truncation(self, capsys):
+        code = cli.main(["solve", "--policy", "query-k", "--k", "1",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "truncation = 16 x 64 (" in out
+
+    def test_solve_past_state_cap_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(ctmc, "MAX_STATES", 100)
+        code = cli.main(["solve", "--policy", "query-k", "--k", "1",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1"])
+        assert code == 2
+        assert "states" in capsys.readouterr().err
 
     def test_missing_config_exits_3(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent/exp.cfg"]) == 3

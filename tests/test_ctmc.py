@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+from freshsched import ctmc
 from freshsched.ctmc import (
     MAX_TRUNCATION,
     Z_IDLE,
@@ -7,6 +11,7 @@ from freshsched.ctmc import (
     Z_UPDATE,
     CtmcRates,
     CtmcSpec,
+    NoConvergence,
     Reducible,
     TruncationTooSmall,
     build_ctmc,
@@ -82,6 +87,13 @@ class TestCtmcSpec:
     def test_max_truncation_is_sane(self):
         assert MAX_TRUNCATION >= 1024
 
+    def test_build_beyond_state_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(ctmc, "MAX_STATES", 100)
+        p = validate_params(0.5, 1, 0.1, 1)
+        with pytest.raises(NoConvergence):
+            build_ctmc(CtmcSpec(p, QueryK(1), 16, 16))
+        build_ctmc(CtmcSpec(p, QueryK(1), 10, 10))  # exactly at the cap
+
 
 class TestBuildCtmc:
     def setup_method(self):
@@ -121,7 +133,47 @@ class TestBuildCtmc:
                 assert ti <= 8 and tj <= 8
 
 
+def reference_stationary(rates):
+    """The per-transition assembly and solve that solve_stationary vectorises."""
+    n = len(rates.states)
+    rows, cols, vals = [], [], []
+    for si, ti, rate in rates.transitions:
+        rows += [ti, si]
+        cols += [si, si]
+        vals += [rate, -rate]
+    qt = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    keep = qt.tocoo()
+    mask = keep.row != 0
+    a = sp.coo_matrix((np.concatenate([keep.data[mask], np.ones(n)]),
+                       (np.concatenate([keep.row[mask], np.zeros(n, dtype=int)]),
+                        np.concatenate([keep.col[mask], np.arange(n)]))),
+                      shape=(n, n)).tocsc()
+    b = np.zeros(n)
+    b[0] = 1.0
+    pi = np.clip(spla.spsolve(a, b), 0.0, None)
+    return pi / pi.sum()
+
+
 class TestEndToEnd:
+    @pytest.mark.parametrize("policy", [QueryK(3), UpdateK(2)])
+    def test_vectorised_assembly_is_bit_identical(self, policy):
+        p = validate_params(0.6, 1, 0.3, 1)
+        rates = build_ctmc(CtmcSpec(p, policy, 24, 40))
+        sol = solve_stationary(rates)
+        assert np.array_equal(sol.probabilities, reference_stationary(rates))
+
+    def test_boundary_bands_bound_the_tail(self):
+        p = validate_params(0.6, 1, 0.3, 1)
+        sol = solve_stationary(build_ctmc(CtmcSpec(p, QueryK(1), 12, 40)))
+        states = np.array(sol.rates.states)
+        pi = sol.probabilities
+        assert sol.tail_mass_q == pytest.approx(pi[states[:, 0] >= 11].sum(), rel=1e-12)
+        assert sol.tail_mass_u == pytest.approx(pi[states[:, 1] >= 39].sum(), rel=1e-12)
+        assert max(sol.tail_mass_q, sol.tail_mass_u) <= sol.tail_mass
+        assert sol.tail_mass <= sol.tail_mass_q + sol.tail_mass_u
+        # the prioritized queue is the short one
+        assert sol.tail_mass_q < sol.tail_mass_u
+
     def test_k1_chain_matches_priority_closed_form(self):
         p = validate_params(0.5, 1, 0.1, 1)
         sol = solve_stationary(build_ctmc(CtmcSpec(p, QueryK(1), 64, 64)))
