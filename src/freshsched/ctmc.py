@@ -2,7 +2,7 @@
 
 States are (n_q, n_u, z) with z = 0 empty/idle, z = 1 serving the query queue,
 z = 2 serving the update queue. Transitions are generated through the shared
-policy decision function, so the chain and the simulator cannot drift apart.
+policy decision table, so the chain and the simulator cannot drift apart.
 Arrivals that would cross the truncation boundary are dropped (reflection).
 """
 from __future__ import annotations
@@ -18,9 +18,8 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .model import ModelParams, QueryK, Unbounded, UpdateK
-from .policy import SchedulerState, ServerPosition, Trigger, decide
-
-Z_IDLE, Z_QUERY, Z_UPDATE = 0, 1, 2
+from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
+                     decision_table)
 
 TAIL_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
@@ -66,14 +65,6 @@ class CtmcSpec:
             raise TruncationTooSmall("truncation bounds must be >= 1")
 
 
-_POSITION_TO_Z = {
-    ServerPosition.IDLE: Z_IDLE,
-    ServerPosition.SERVING_QUERY: Z_QUERY,
-    ServerPosition.SERVING_UPDATE: Z_UPDATE,
-}
-_Z_TO_POSITION = {z: pos for pos, z in _POSITION_TO_Z.items()}
-
-
 @dataclass
 class CtmcRates:
     """Reachable states and their transition rates."""
@@ -89,19 +80,12 @@ class CtmcRates:
         return np.array(self.states, dtype=np.int64).reshape(-1, 3)
 
 
-def _emptying(policy, position: ServerPosition) -> bool:
-    # under a single-threshold policy the prioritized queue is always being
-    # emptied while served, so the flag carries no extra state
-    if isinstance(policy, QueryK):
-        return position is ServerPosition.SERVING_QUERY
-    return position is ServerPosition.SERVING_UPDATE
-
-
 def build_ctmc(spec: CtmcSpec) -> CtmcRates:
     if spec.c_q * spec.c_u > MAX_STATES:
         raise NoConvergence(
             f"truncation {spec.c_q} x {spec.c_u} exceeds the cap of {MAX_STATES} states")
-    params, policy = spec.params, spec.policy
+    params = spec.params
+    cap_q, cap_u, table = decision_table(spec.policy)
     start = (0, 0, Z_IDLE)
     index = {start: 0}
     states = [start]
@@ -111,20 +95,19 @@ def build_ctmc(spec: CtmcSpec) -> CtmcRates:
         state = frontier.popleft()
         i, j, z = state
         si = index[state]
+        rules = table[z]
+        ci = i if i < cap_q else cap_q
+        cj = j if j < cap_u else cap_u
         events = []
         if i < spec.c_q:
-            events.append((Trigger.ARRIVAL_QUERY, params.lambda_q))
+            events.append(((i + 1, j, rules[ARRIVE_Q][ci][cj]), params.lambda_q))
         if j < spec.c_u:
-            events.append((Trigger.ARRIVAL_UPDATE, params.lambda_u))
+            events.append(((i, j + 1, rules[ARRIVE_U][ci][cj]), params.lambda_u))
         if z == Z_QUERY:
-            events.append((Trigger.DEPARTURE_QUERY, params.mu_q))
+            events.append(((i - 1, j, rules[DEPART_Q][ci][cj]), params.mu_q))
         elif z == Z_UPDATE:
-            events.append((Trigger.DEPARTURE_UPDATE, params.mu_u))
-        position = _Z_TO_POSITION[z]
-        sched = SchedulerState(i, j, position, _emptying(policy, position))
-        for trigger, rate in events:
-            post = decide(policy, sched, trigger)
-            target = (post.n_q, post.n_u, _POSITION_TO_Z[post.position])
+            events.append(((i, j - 1, rules[DEPART_U][ci][cj]), params.mu_u))
+        for target, rate in events:
             ti = index.get(target)
             if ti is None:
                 ti = len(states)

@@ -1,12 +1,13 @@
 """Scheduling decisions as pure functions over (queue counts, server position).
 
-The simulator and the Markov-chain builder both call `decide`, so the switching
-rules live in exactly one place.
+The simulator and the Markov-chain builder both read `decision_table`, which is
+generated from `decide`, so the switching rules live in exactly one place.
 """
 from __future__ import annotations
 
 import enum
-from typing import Iterable, List, NamedTuple
+import functools
+from typing import Iterable, List, NamedTuple, Tuple
 
 from .model import Fcfs, JobClass, JobRecord, JointMN, QueryK, Unbounded, UpdateK
 
@@ -166,3 +167,68 @@ def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
 def equivalent_fcfs_order(jobs: Iterable[JobRecord]) -> List[JobRecord]:
     """Merge both classes into one FIFO line; ties serve the update first."""
     return sorted(jobs, key=lambda j: (j.arrival_time, 0 if j.job_class is JobClass.UPDATE else 1))
+
+
+# Integer codes of the decision table: a position is its index in POSITIONS
+# (the chain's z), a trigger its index in TRIGGERS.
+Z_IDLE, Z_QUERY, Z_UPDATE = range(3)
+POSITIONS = (ServerPosition.IDLE, ServerPosition.SERVING_QUERY,
+             ServerPosition.SERVING_UPDATE)
+ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q = range(4)
+TRIGGERS = (Trigger.ARRIVAL_UPDATE, Trigger.ARRIVAL_QUERY,
+            Trigger.DEPARTURE_UPDATE, Trigger.DEPARTURE_QUERY)
+# table value of an FCFS departure that leaves both queues nonempty: the older
+# head is served next, the update on a tie (see FcfsOrderUndetermined)
+OLDER_HEAD = -1
+
+
+class DecisionTable(NamedTuple):
+    """`decide`'s post-event position for every valid (state, trigger).
+
+    ``next_position[z][e][i][j]`` is the position code after trigger code ``e``
+    from position code ``z`` with ``min(n_q, cap_q) = i`` and
+    ``min(n_u, cap_u) = j`` before the event. A count at or above its cap
+    decides like the cap, so the table is exact for every count. Entries for
+    invalid states and triggers are None.
+    """
+
+    cap_q: int
+    cap_u: int
+    next_position: Tuple[Tuple[Tuple[tuple, ...], ...], ...]
+
+
+def _cap(threshold) -> int:
+    # decide only asks whether a post-event count is 0 or reaches the
+    # threshold, and a departure lowers a count by one
+    return 2 if isinstance(threshold, Unbounded) else threshold + 2
+
+
+def _table_entry(policy, state: SchedulerState, trigger: Trigger):
+    try:
+        return POSITIONS.index(decide(policy, state, trigger).position)
+    except InconsistentTrigger:
+        return None
+    except FcfsOrderUndetermined:
+        return OLDER_HEAD
+
+
+@functools.lru_cache(maxsize=64)
+def decision_table(policy) -> DecisionTable:
+    """Call `decide` once on every valid state with counts up to the caps."""
+    if isinstance(policy, QueryK):
+        cap_q, cap_u = _cap(policy.k), 2
+    elif isinstance(policy, UpdateK):
+        cap_q, cap_u = 2, _cap(policy.k)
+    elif isinstance(policy, JointMN):
+        cap_q, cap_u = _cap(policy.n), _cap(policy.m)
+    elif isinstance(policy, Fcfs):
+        cap_q, cap_u = 2, 2
+    else:
+        raise TypeError(f"unknown policy {policy!r}")
+    # the emptying flag is left False: decide never reads it
+    return DecisionTable(cap_q, cap_u, tuple(
+        tuple(tuple(tuple(_table_entry(policy, SchedulerState(i, j, position), trigger)
+                          for j in range(cap_u + 1))
+                    for i in range(cap_q + 1))
+              for trigger in TRIGGERS)
+        for position in POSITIONS))

@@ -3,20 +3,27 @@
 Each replication derives four RNG streams (update/query arrivals, update/query
 service draws) deterministically from (base_seed, rep_index), so rerunning a
 different policy on the same seed replays identical randomness (common random
-numbers). Service requirements are drawn at arrival time for the same reason.
+numbers). The streams are drawn in blocks before the event loop: arrival
+epochs through the first one past the horizon, and one service requirement
+per arrival, in arrival order. Within a class service is FIFO preempt-resume,
+so each queue is a head index into its class's lists and only the head can be
+part-served. Switching decisions are read from `policy.decision_table`.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import statistics
-from collections import deque
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .model import Fcfs, JobClass, JobRecord, ModelParams, ReplicationMetrics
-from .policy import SchedulerState, ServerPosition, Trigger, decide
+from .model import JobClass, JobRecord, ModelParams, ReplicationMetrics
+from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, OLDER_HEAD, Z_IDLE, Z_QUERY,
+                     Z_UPDATE, decision_table)
 
 
 @dataclass(frozen=True)
@@ -37,19 +44,50 @@ class OutOfOrderDeparture(RuntimeError):
     """An update departed with an older generation time than one already delivered."""
 
 
-def sample_exponential(rate: float, stream) -> float:
-    """Inverse-transform draw -ln(u)/rate with u uniform on (0, 1)."""
+def exponential_draws(rate: float, stream, n: int) -> List[float]:
+    """n inverse-transform draws -ln(u)/rate with u uniform on (0, 1).
+
+    The uniforms come in blocks from ``stream.random(size)``, and a zero is
+    skipped, so the draws are those of n one-at-a-time draws that redraw a
+    zero. ``math.log`` keeps every value bit-identical to such a draw.
+    """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    u = stream.random()
-    while u <= 0.0:
-        u = stream.random()
-    return -math.log(u) / rate
+    log = math.log
+    draws: List[float] = []
+    while len(draws) < n:
+        draws += [-log(u) / rate for u in stream.random(n - len(draws)).tolist() if u > 0.0]
+    return draws
+
+
+def _arrival_epochs(rate: float, stream, horizon: float) -> List[float]:
+    """Poisson arrival epochs in (0, horizon], then the first one past it."""
+    # four standard deviations over the mean count, so one block nearly
+    # always reaches past the horizon
+    mean = rate * horizon
+    block = int(mean + 4.0 * math.sqrt(mean)) + 16
+    epochs = [0.0]
+    while epochs[-1] <= horizon:
+        # a running sum carried across blocks, so each epoch is its
+        # predecessor plus one draw
+        sums = accumulate(exponential_draws(rate, stream, block), initial=epochs[-1])
+        next(sums)
+        epochs += sums
+    del epochs[bisect_right(epochs, horizon) + 1:]
+    del epochs[0]
+    return epochs
 
 
 def _rng_streams(base_seed: int, rep_index: int):
     root = np.random.SeedSequence(entropy=base_seed, spawn_key=(rep_index,))
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(4)]
+
+
+def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> float:
+    """Integral of the age t - g over (t0, t1] clipped to (warmup, horizon]."""
+    a = warmup if warmup > t0 else t0
+    b = horizon if horizon < t1 else t1
+    return ((b - g) ** 2 - (a - g) ** 2) / 2.0 if b > a else 0.0
 
 
 class AoiTracker:
@@ -71,46 +109,38 @@ class AoiTracker:
         self._warmup = warmup
         self._horizon = horizon
 
-    def _accumulate(self, upto: float) -> None:
-        a = max(self.last_event_time, self._warmup)
-        b = min(upto, self._horizon)
-        if b > a:
-            g = self.freshest_delivered_generation
-            self.age_integral += ((b - g) ** 2 - (a - g) ** 2) / 2.0
-
-    def record_update_departure(self, generation_time: float, now: float) -> None:
-        if generation_time > now:
-            raise ValueError("generation_time after departure time")
-        if generation_time < self.freshest_delivered_generation:
-            raise OutOfOrderDeparture(
-                f"update generated at {generation_time} delivered after one from "
-                f"{self.freshest_delivered_generation}")
-        self._accumulate(now)
-        if self._warmup < now <= self._horizon:
-            inter_arrival = generation_time - self.previous_update_arrival
-            system_time = now - generation_time
-            self.paoi_samples.append(inter_arrival + system_time)
-        self.previous_update_arrival = generation_time
-        self.freshest_delivered_generation = generation_time
-        self.last_event_time = now
+    def record_update_departures(self, generations: Sequence[float],
+                                 departures: Sequence[float]) -> None:
+        """Deliver the updates generated at ``generations[i]`` at
+        ``departures[i]``, in departure order."""
+        warmup, horizon = self._warmup, self._horizon
+        g = self.freshest_delivered_generation
+        previous = self.previous_update_arrival
+        last = self.last_event_time
+        integral = self.age_integral
+        samples = self.paoi_samples
+        for generation, now in zip(generations, departures):
+            if generation > now:
+                raise ValueError("generation_time after departure time")
+            if generation < g:
+                raise OutOfOrderDeparture(
+                    f"update generated at {generation} delivered after one from {g}")
+            integral += _age_area(g, last, now, warmup, horizon)
+            if warmup < now <= horizon:
+                # inter-arrival plus system time
+                samples.append((generation - previous) + (now - generation))
+            previous = g = generation
+            last = now
+        self.freshest_delivered_generation = g
+        self.previous_update_arrival = previous
+        self.last_event_time = last
+        self.age_integral = integral
 
     def finalize(self, horizon: float) -> None:
-        self._accumulate(horizon)
+        self.age_integral += _age_area(self.freshest_delivered_generation,
+                                       self.last_event_time, horizon,
+                                       self._warmup, self._horizon)
         self.last_event_time = horizon
-
-    @property
-    def current_age_start(self) -> float:
-        return self.freshest_delivered_generation
-
-
-class _Job:
-    __slots__ = ("arrival", "remaining", "requirement", "job_class")
-
-    def __init__(self, arrival, requirement, job_class):
-        self.arrival = arrival
-        self.remaining = requirement
-        self.requirement = requirement
-        self.job_class = job_class
 
 
 @dataclass
@@ -124,6 +154,17 @@ class ReplicationDetail:
     completed_service: float
     residual_work: float
     tracker: AoiTracker
+
+
+def _system_times(arrivals: List[float], departures: List[float],
+                  warmup: float) -> Tuple[int, float]:
+    """Count and sum of the system times of the jobs that departed after warmup."""
+    n, total = 0, 0.0
+    for arrival, departure in zip(arrivals, departures):
+        if departure > warmup:
+            n += 1
+            total += departure - arrival
+    return n, total
 
 
 def run_replication(params: ModelParams, policy, config: SimConfig,
@@ -141,141 +182,90 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
     u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
-    lam_u, lam_q = params.lambda_u, params.lambda_q
-    mu_u, mu_q = params.mu_u, params.mu_q
     horizon, warmup = config.horizon, config.warmup
-    is_fcfs = isinstance(policy, Fcfs)
+    # each class: arrival epochs (the last one past the horizon), service
+    # requirements, remaining work (written on preemption) and departure epochs
+    arrive_u = _arrival_epochs(params.lambda_u, u_arr, horizon)
+    arrive_q = _arrival_epochs(params.lambda_q, q_arr, horizon)
+    work_u = exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1)
+    work_q = exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1)
+    remain_u, remain_q = list(work_u), list(work_q)
+    depart_u: List[float] = []
+    depart_q: List[float] = []
+    cap_q, cap_u, table = decision_table(policy)
 
-    SQ, SU, IDLE = (ServerPosition.SERVING_QUERY, ServerPosition.SERVING_UPDATE,
-                    ServerPosition.IDLE)
-    q_queue: deque = deque()
-    u_queue: deque = deque()
-    line: deque = deque()  # merged arrival order, FCFS only
-    n_q = n_u = 0
-    pos = IDLE
-    emptying = False
-    in_service = None
+    n_q = n_u = 0  # queue lengths
+    h_q = h_u = 0  # index of each queue's head
+    next_u, next_q = arrive_u[0], arrive_q[0]
+    pos = Z_IDLE
     completion = math.inf
-    next_u = sample_exponential(lam_u, u_arr)
-    next_q = sample_exponential(lam_q, q_arr)
     t = 0.0
-
-    nq_integral = nu_integral = 0.0
-    busy_time = arrived_service = completed_service = 0.0
-    resp_sum = 0.0
-    resp_n = 0
-    usys_sum = 0.0
-    completed_updates = 0
-    tracker = AoiTracker(warmup, horizon)
-    jobs: "List[JobRecord] | None" = [] if collect_jobs else None
+    nq_integral = nu_integral = busy_time = 0.0
 
     while True:
         if completion <= next_u and completion <= next_q:
-            te, kind = completion, 0
+            te = completion
         elif next_u <= next_q:  # simultaneous arrivals serve the update first
-            te, kind = next_u, 1
+            te = next_u
         else:
-            te, kind = next_q, 2
+            te = next_q
         cut = te if te <= horizon else horizon
         if cut > warmup:
             dt = cut - (t if t > warmup else warmup)
             if dt > 0:
                 nq_integral += n_q * dt
                 nu_integral += n_u * dt
-        if in_service is not None:
+        if pos != Z_IDLE:
             busy_time += cut - t
         if te > horizon:
             break
         t = te
+        rules = table[pos]
+        i = n_q if n_q < cap_q else cap_q
+        j = n_u if n_u < cap_u else cap_u
 
-        if kind == 1:
-            job = _Job(t, sample_exponential(mu_u, u_svc), JobClass.UPDATE)
-            arrived_service += job.requirement
-            if is_fcfs:
-                n_u += 1
-                if pos is IDLE:
-                    pos = SU
+        if t == completion:
+            if pos == Z_QUERY:
+                new = rules[DEPART_Q][i][j]
+                n_q -= 1
+                h_q += 1
+                depart_q.append(t)
             else:
-                n_q, n_u, pos, emptying = decide(
-                    policy, SchedulerState(n_q, n_u, pos, emptying), Trigger.ARRIVAL_UPDATE)
-            u_queue.append(job)
-            if is_fcfs:
-                line.append(job)
-            next_u = t + sample_exponential(lam_u, u_arr)
-        elif kind == 2:
-            job = _Job(t, sample_exponential(mu_q, q_svc), JobClass.QUERY)
-            arrived_service += job.requirement
-            if is_fcfs:
-                n_q += 1
-                if pos is IDLE:
-                    pos = SQ
-            else:
-                n_q, n_u, pos, emptying = decide(
-                    policy, SchedulerState(n_q, n_u, pos, emptying), Trigger.ARRIVAL_QUERY)
-            q_queue.append(job)
-            if is_fcfs:
-                line.append(job)
-            next_q = t + sample_exponential(lam_q, q_arr)
-        else:
-            job = in_service
-            in_service = None
+                new = rules[DEPART_U][i][j]
+                n_u -= 1
+                h_u += 1
+                depart_u.append(t)
+            if new == OLDER_HEAD:
+                new = Z_UPDATE if arrive_u[h_u] <= arrive_q[h_q] else Z_QUERY
+            pos = Z_IDLE
             completion = math.inf
-            cls = job.job_class
-            if is_fcfs:
-                if cls is JobClass.UPDATE:
-                    n_u -= 1
-                else:
-                    n_q -= 1
-                line.popleft()
-            else:
-                trigger = (Trigger.DEPARTURE_UPDATE if cls is JobClass.UPDATE
-                           else Trigger.DEPARTURE_QUERY)
-                n_q, n_u, pos, emptying = decide(
-                    policy, SchedulerState(n_q, n_u, pos, emptying), trigger)
-            if cls is JobClass.UPDATE:
-                u_queue.popleft()
-                tracker.record_update_departure(job.arrival, t)
-                if t > warmup:
-                    completed_updates += 1
-                    usys_sum += t - job.arrival
-            else:
-                q_queue.popleft()
-                if t > warmup:
-                    resp_n += 1
-                    resp_sum += t - job.arrival
-            completed_service += job.requirement
-            if jobs is not None:
-                jobs.append(JobRecord(cls, job.arrival, job.requirement, t))
-
-        # (re)assign the server
-        if is_fcfs:
-            if in_service is None:
-                if line:
-                    nxt = line[0]
-                    in_service = nxt
-                    completion = t + nxt.remaining
-                    pos = SU if nxt.job_class is JobClass.UPDATE else SQ
-                else:
-                    pos = IDLE
+        elif t == next_u:
+            new = rules[ARRIVE_U][i][j]
+            n_u += 1
+            next_u = arrive_u[h_u + n_u]
         else:
-            if pos is SQ:
-                target = q_queue[0]
-            elif pos is SU:
-                target = u_queue[0]
-            else:
-                target = None
-            if target is not in_service:
-                if in_service is not None:  # preempt-resume: bank the remaining work
-                    in_service.remaining = completion - t
-                in_service = target
-                completion = math.inf if target is None else t + target.remaining
+            new = rules[ARRIVE_Q][i][j]
+            n_q += 1
+            next_q = arrive_q[h_q + n_q]
 
+        if new != pos:  # preempt-resume: bank the head's remaining work
+            if pos == Z_QUERY:
+                remain_q[h_q] = completion - t
+            elif pos == Z_UPDATE:
+                remain_u[h_u] = completion - t
+            if new == Z_QUERY:
+                completion = t + remain_q[h_q]
+            elif new == Z_UPDATE:
+                completion = t + remain_u[h_u]
+            else:
+                completion = math.inf
+            pos = new
+
+    resp_n, resp_sum = _system_times(arrive_q, depart_q, warmup)
+    completed_updates, usys_sum = _system_times(arrive_u, depart_u, warmup)
+    tracker = AoiTracker(warmup, horizon)
+    tracker.record_update_departures(arrive_u, depart_u)
     tracker.finalize(horizon)
-    residual_work = 0.0
-    for job in q_queue:
-        residual_work += (completion - horizon) if job is in_service else job.remaining
-    for job in u_queue:
-        residual_work += (completion - horizon) if job is in_service else job.remaining
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(
@@ -289,35 +279,30 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
         completed_updates=completed_updates,
         horizon=duration,
     )
-    detail = None
-    if collect_jobs:
-        detail = ReplicationDetail(jobs, list(tracker.paoi_samples), busy_time,
-                                   arrived_service, completed_service, residual_work, tracker)
+    if not collect_jobs:
+        return metrics, None
+
+    # the sums below run in event order, as a per-event loop would add them
+    jobs = sorted([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q)]
+                  + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u)],
+                  key=lambda job: job.completion_time)
+    completed_service = 0.0
+    for job in jobs:
+        completed_service += job.service_requirement
+    arrived_service = 0.0
+    # simultaneous arrivals: the update first
+    for _, work in heapq.merge(zip(arrive_u, work_u), zip(arrive_q, work_q),
+                               key=lambda pair: pair[0]):
+        arrived_service += work
+    residual_work = 0.0
+    for served, head, n, remain in ((Z_QUERY, h_q, n_q, remain_q),
+                                    (Z_UPDATE, h_u, n_u, remain_u)):
+        for index in range(head, head + n):
+            in_service = pos == served and index == head
+            residual_work += (completion - horizon) if in_service else remain[index]
+    detail = ReplicationDetail(jobs, list(tracker.paoi_samples), busy_time, arrived_service,
+                               completed_service, residual_work, tracker)
     return metrics, detail
-
-
-def finalize_metrics(tracker: AoiTracker, completed_jobs: Sequence[JobRecord],
-                     horizon: float, warmup: float,
-                     nq_integral: float, nu_integral: float) -> ReplicationMetrics:
-    """Assemble per-run metrics from a finalized tracker and the completed jobs."""
-    duration = horizon - warmup
-    if duration <= 0:
-        raise ValueError("horizon must exceed warmup")
-    resp = [j.system_time for j in completed_jobs
-            if j.job_class is JobClass.QUERY and warmup < j.completion_time <= horizon]
-    usys = [j.system_time for j in completed_jobs
-            if j.job_class is JobClass.UPDATE and warmup < j.completion_time <= horizon]
-    return ReplicationMetrics(
-        mean_response_time=statistics.fmean(resp) if resp else None,
-        mean_paoi=(statistics.fmean(tracker.paoi_samples) if tracker.paoi_samples else None),
-        mean_aoi=tracker.age_integral / duration,
-        mean_nq=nq_integral / duration,
-        mean_nu=nu_integral / duration,
-        mean_update_system_time=statistics.fmean(usys) if usys else None,
-        completed_queries=len(resp),
-        completed_updates=len(usys),
-        horizon=duration,
-    )
 
 
 @dataclass(frozen=True)

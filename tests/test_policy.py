@@ -4,12 +4,16 @@ from hypothesis import strategies as st
 
 from freshsched.model import UNBOUNDED, Fcfs, JobClass, JobRecord, JointMN, QueryK, UpdateK
 from freshsched.policy import (
+    OLDER_HEAD,
+    POSITIONS,
+    TRIGGERS,
     FcfsOrderUndetermined,
     InconsistentTrigger,
     SchedulerState,
     ServerPosition,
     Trigger,
     decide,
+    decision_table,
     equivalent_fcfs_order,
     initial_state,
 )
@@ -234,6 +238,49 @@ def test_non_idling_random_walk(policy, choices):
             assert state.n_q > 0 or state.n_u > 0
         if state.n_q == 0 and state.n_u == 0:
             assert state.position is IDLE
+
+
+class TestDecisionTable:
+    @pytest.mark.parametrize("policy", [
+        Fcfs(), QueryK(1), QueryK(3), QueryK(UNBOUNDED), UpdateK(1), UpdateK(3),
+        UpdateK(UNBOUNDED), JointMN(3, 3), JointMN(1, 5), JointMN(UNBOUNDED, 2)])
+    def test_agrees_with_decide_beyond_the_caps(self, policy):
+        cap_q, cap_u, table = decision_table(policy)
+        checked = 0
+        for state in enumerate_states(max(cap_q, cap_u) + 3):
+            if state.n_q > cap_q + 3 or state.n_u > cap_u + 3:
+                continue
+            for trigger in valid_triggers(state):
+                entry = table[POSITIONS.index(state.position)][TRIGGERS.index(trigger)][
+                    min(state.n_q, cap_q)][min(state.n_u, cap_u)]
+                try:
+                    post = decide(policy, state, trigger)
+                except FcfsOrderUndetermined:
+                    assert isinstance(policy, Fcfs)
+                    assert entry == OLDER_HEAD
+                    continue
+                assert entry == POSITIONS.index(post.position), (state, trigger)
+                checked += 1
+        assert checked > 50
+
+    def test_invalid_entries_are_empty(self):
+        _, _, table = decision_table(QueryK(3))
+        idle, serving_query = POSITIONS.index(IDLE), POSITIONS.index(SQ)
+        departure_query = TRIGGERS.index(Trigger.DEPARTURE_QUERY)
+        assert table[idle][departure_query][0][0] is None
+        assert table[serving_query][departure_query][0][1] is None  # no query present
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES + [JointMN(1, 5)])
+    def test_emptying_flag_does_not_decide(self, policy):
+        # the table leaves the flag out of its key
+        for state in enumerate_states(6):
+            flipped = state._replace(emptying_mode=not state.emptying_mode)
+            for trigger in valid_triggers(state):
+                try:
+                    post = decide(policy, state, trigger)
+                except FcfsOrderUndetermined:
+                    continue
+                assert decide(policy, flipped, trigger).position is post.position
 
 
 class TestEquivalentFcfsOrder:

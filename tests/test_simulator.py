@@ -17,11 +17,10 @@ from freshsched.simulator import (
     OutOfOrderDeparture,
     SimConfig,
     aggregate,
-    finalize_metrics,
+    exponential_draws,
     littles_law_residual,
     run_replication,
     run_replication_detailed,
-    sample_exponential,
 )
 
 POLICIES = [Fcfs(), QueryK(3), UpdateK(3), JointMN(3, 3)]
@@ -31,46 +30,57 @@ class FixedStream:
     def __init__(self, value):
         self.value = value
 
-    def random(self):
-        return self.value
+    def random(self, size):
+        return np.full(size, self.value)
 
 
 class TestSampleExponential:
     def test_inverse_transform_identity(self):
         stream = FixedStream(math.exp(-1.0))
-        assert sample_exponential(1.0, stream) == pytest.approx(1.0, rel=1e-14)
-        assert sample_exponential(2.0, stream) == pytest.approx(0.5, rel=1e-14)
+        assert exponential_draws(1.0, stream, 3) == pytest.approx([1.0] * 3, rel=1e-14)
+        assert exponential_draws(2.0, stream, 1) == pytest.approx([0.5], rel=1e-14)
 
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
-            sample_exponential(0.0, FixedStream(0.5))
+            exponential_draws(0.0, FixedStream(0.5), 1)
 
     def test_zero_uniform_redrawn(self):
         class ZeroThenHalf:
             def __init__(self):
-                self.calls = 0
+                self.sizes = []
 
-            def random(self):
-                self.calls += 1
-                return 0.0 if self.calls == 1 else 0.5
+            def random(self, size):
+                self.sizes.append(size)
+                return np.array([0.0] + [0.5] * (size - 1) if len(self.sizes) == 1
+                                else [0.5] * size)
 
         stream = ZeroThenHalf()
-        assert sample_exponential(1.0, stream) == pytest.approx(math.log(2.0))
-        assert stream.calls == 2
+        assert exponential_draws(1.0, stream, 3) == pytest.approx([math.log(2.0)] * 3)
+        assert stream.sizes == [3, 1]
+
+    def test_same_sequence_as_one_at_a_time_draws(self):
+        # the scalar inverse transform with a redraw of u = 0, call by call
+        stream = np.random.default_rng(7)
+        expected = []
+        for _ in range(5000):
+            u = stream.random()
+            while u <= 0.0:
+                u = stream.random()
+            expected.append(-math.log(u) / 0.37)
+        assert exponential_draws(0.37, np.random.default_rng(7), 5000) == expected
 
     def test_empirical_mean(self):
-        stream = np.random.default_rng(0)
         n = 10 ** 6
-        total = sum(sample_exponential(1.0, stream) for _ in range(n))
-        assert total / n == pytest.approx(1.0, abs=0.005)
+        draws = exponential_draws(1.0, np.random.default_rng(0), n)
+        assert len(draws) == n
+        assert math.fsum(draws) / n == pytest.approx(1.0, abs=0.005)
 
 
 class TestAoiTracker:
     def test_two_update_hand_trace(self):
         # updates generated at t=1 (done t=2) and t=1.5 (done t=4), run ends t=5
         tracker = AoiTracker()
-        tracker.record_update_departure(1.0, 2.0)
-        tracker.record_update_departure(1.5, 4.0)
+        tracker.record_update_departures([1.0, 1.5], [2.0, 4.0])
         tracker.finalize(5.0)
         # peaks: 2-0 (phantom previous arrival at 0) and (1.5-1)+(4-1.5)=3
         assert tracker.paoi_samples == [2.0, 3.0]
@@ -79,24 +89,27 @@ class TestAoiTracker:
 
     def test_zero_delay_service_resets_age_to_zero(self):
         tracker = AoiTracker()
-        tracker.record_update_departure(2.0, 2.0)
-        assert tracker.current_age_start == 2.0
+        tracker.record_update_departures([2.0], [2.0])
+        assert tracker.age_integral == 2.0  # the age t over [0, 2]
         tracker.finalize(3.0)
+        # the age restarts at 0 at t = 2
         assert tracker.age_integral == pytest.approx(2.0 + 0.5)
 
     def test_out_of_order_departure_rejected(self):
         tracker = AoiTracker()
-        tracker.record_update_departure(2.0, 3.0)
+        tracker.record_update_departures([2.0], [3.0])
         with pytest.raises(OutOfOrderDeparture):
-            tracker.record_update_departure(1.0, 4.0)
+            tracker.record_update_departures([1.0], [4.0])
+        with pytest.raises(OutOfOrderDeparture):
+            AoiTracker().record_update_departures([2.0, 1.0], [3.0, 4.0])
 
     def test_generation_after_departure_rejected(self):
         with pytest.raises(ValueError):
-            AoiTracker().record_update_departure(3.0, 2.0)
+            AoiTracker().record_update_departures([3.0], [2.0])
 
     def test_warmup_clips_integral_and_samples(self):
         tracker = AoiTracker(warmup=2.0, horizon=10.0)
-        tracker.record_update_departure(1.0, 2.0)  # at the warmup edge: excluded
+        tracker.record_update_departures([1.0], [2.0])  # at the warmup edge: excluded
         tracker.finalize(10.0)
         assert tracker.paoi_samples == []
         # age over (2, 10] with last delivery from t=1: ((10-1)^2 - (2-1)^2)/2
@@ -106,24 +119,18 @@ class TestAoiTracker:
         tracker = AoiTracker()
         last = 0.0
         for gen, done in ((0.5, 1.0), (2.0, 2.5), (3.0, 6.0)):
-            tracker.record_update_departure(gen, done)
+            tracker.record_update_departures([gen], [done])
             assert tracker.age_integral >= last
             last = tracker.age_integral
 
-
-class TestFinalizeMetrics:
-    def test_constant_age_window(self):
-        tracker = AoiTracker()
-        tracker.age_integral = 20.0
-        m = finalize_metrics(tracker, [], horizon=10.0, warmup=0.0,
-                             nq_integral=0.0, nu_integral=0.0)
-        assert m.mean_aoi == pytest.approx(2.0)
-        assert m.mean_response_time is None
-        assert m.completed_queries == 0
-
-    def test_degenerate_window_rejected(self):
-        with pytest.raises(ValueError):
-            finalize_metrics(AoiTracker(), [], 1.0, 1.0, 0.0, 0.0)
+    def test_batches_match_one_call(self):
+        generations, departures = [0.5, 2.0, 3.0, 3.5], [1.0, 2.5, 6.0, 6.5]
+        whole = AoiTracker(warmup=0.7, horizon=6.2)
+        whole.record_update_departures(generations, departures)
+        parts = AoiTracker(warmup=0.7, horizon=6.2)
+        for gen, done in zip(generations, departures):
+            parts.record_update_departures([gen], [done])
+        assert vars(parts) == vars(whole)
 
 
 class TestSimConfig:
@@ -209,6 +216,28 @@ class TestRunReplication:
         runs = [run_replication(params, Fcfs(), config, rep) for rep in range(10)]
         mean = aggregate(runs)["paoi"].mean
         assert mean == pytest.approx(4.0, rel=0.05)
+
+    def test_golden_values(self):
+        # recorded from the per-event simulator with job objects that the
+        # array loop replaced; == pins the random stream and every sum's order
+        params = validate_params(0.4, 1, 0.3, 1)
+        config = SimConfig(3000.0, 300.0, 3, 2024)
+        golden = {
+            Fcfs(): ReplicationMetrics(
+                3.3104831173503153, 5.9632392334157185, 5.192646249104696,
+                0.9955552865460514, 1.3812267635466027, 3.4623693984290824, 816, 1079, 2700.0),
+            QueryK(3): ReplicationMetrics(
+                2.6304552205982494, 6.406489154788052, 5.51414234697934,
+                0.7940163032877415, 1.5562699091606804, 3.904979725391907, 816, 1080, 2700.0),
+            UpdateK(3): ReplicationMetrics(
+                4.591641850184292, 5.030810122019088, 4.531256091266293,
+                1.382749925802542, 1.0086004631032828, 2.5299402870324514, 816, 1079, 2700.0),
+            JointMN(3, 3): ReplicationMetrics(
+                3.6732366441815674, 5.731980498251472, 4.983717066347194,
+                1.1091680224151443, 1.2864664465460476, 3.2304710688553273, 816, 1080, 2700.0),
+        }
+        for policy, expected in golden.items():
+            assert run_replication(params, policy, config, 2) == expected, policy
 
     def test_empty_window_reports_missing_metrics(self):
         params = validate_params(1e-6, 1, 1e-6, 1)
