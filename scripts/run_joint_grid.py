@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Simulate the two-threshold policy over an (m, n) grid.
+"""Solve and simulate the two-threshold policy over an (m, n) grid.
 
 At the symmetric operating point lambda_u = lambda_q = 1/3, mu = 1, runs the
-joint policy for every pair of thresholds in the grid and writes a CSV plus a
-chart. Expected picture: raising the update threshold m trades peak age for
-query response time; raising the query threshold n trades the other way.
+joint policy for every pair of thresholds in the grid on the truncated chain
+and the simulator, and writes a CSV plus a chart. Expected picture: raising
+the update threshold m trades peak age for query response time; raising the
+query threshold n trades the other way.
 """
 import argparse
 
-from freshsched.experiment import METRICS, ResultRow, emit_csv, policy_columns
-from freshsched.model import JointMN, validate_params
-from freshsched.simulator import SimConfig, aggregate, run_replication
+from freshsched.config import ExperimentSpec, PolicyRun
+from freshsched.experiment import emit_csv, run_experiment
+from freshsched.model import JointMN
+from freshsched.simulator import SimConfig
 from freshsched.svgplot import emit_plot
 
 
@@ -24,24 +26,11 @@ def main():
     parser.add_argument("--svg", default="joint_grid.svg")
     args = parser.parse_args()
 
-    params = validate_params(1 / 3, 1, 1 / 3, 1)
-    sim = SimConfig(args.horizon, 0.0, args.reps, args.seed)
-    rows = []
-    for m in args.thresholds:
-        for n in args.thresholds:
-            policy = JointMN(m, n)
-            name, col_m, col_n, col_k = policy_columns(policy)
-            runs = [run_replication(params, policy, sim, rep)
-                    for rep in range(sim.replications)]
-            stats = aggregate(runs)
-            for metric in METRICS:
-                st = stats[metric]
-                rows.append(ResultRow(
-                    name, col_m, col_n, col_k, params.lambda_u, params.lambda_q,
-                    params.mu_u, params.mu_q, metric, "sim", st.mean,
-                    st.half_width, sim.replications, sim.horizon,
-                    sim.base_seed, "ok"))
-            print(f"m = {m}, n = {n} done")
+    policies = tuple(PolicyRun(f"joint{m}_{n}", JointMN(m, n))
+                     for m in args.thresholds for n in args.thresholds)
+    spec = ExperimentSpec(1 / 3, 1 / 3, 1.0, 1.0, policies,
+                          SimConfig(args.horizon, 0.0, args.reps, args.seed))
+    rows = run_experiment(spec)
     emit_csv(rows, args.csv)
     emit_plot(rows, "m", ("response_time", "paoi"), args.svg)
     print(f"wrote {args.csv} and {args.svg}")

@@ -2,45 +2,18 @@
 """Sweep the switching threshold k for both single-threshold policies.
 
 Config-file sweeps cover arrival/service rates only, so this script drives the
-k axis directly: for k = 1..12 it solves the truncated chain and runs the
-simulator at the symmetric operating point lambda_u = lambda_q = 1/3, mu = 1,
-then writes one CSV and one chart (response time rising, peak age falling,
-both saturating for large k).
+k axis directly: for k = 1..12 it runs every engine (closed form at k = 1, the
+truncated chain and the simulator) at the symmetric operating point
+lambda_u = lambda_q = 1/3, mu = 1, then writes one CSV and one chart
+(response time rising, peak age falling, both saturating for large k).
 """
 import argparse
 
-from freshsched.analytic import query_k_metrics, update_k_metrics
-from freshsched.experiment import METRICS, ResultRow, emit_csv, policy_columns
-from freshsched.model import QueryK, UpdateK, validate_params
-from freshsched.simulator import SimConfig, aggregate, run_replication
+from freshsched.config import ExperimentSpec, PolicyRun
+from freshsched.experiment import emit_csv, run_experiment
+from freshsched.model import QueryK, UpdateK
+from freshsched.simulator import SimConfig
 from freshsched.svgplot import emit_plot
-
-
-def rows_for(policy, params, sim, chain_result):
-    name, m, n, k = policy_columns(policy)
-    runs = [run_replication(params, policy, sim, rep)
-            for rep in range(sim.replications)]
-    stats = aggregate(runs)
-    chain = {
-        "response_time": chain_result.expected_response_time,
-        "paoi": chain_result.expected_paoi,
-        "aoi": None,
-        "nq": chain_result.expected_nq,
-        "nu": chain_result.expected_nu,
-    }
-    rows = []
-    for metric in METRICS:
-        mean = chain[metric]
-        rows.append(ResultRow(name, m, n, k, params.lambda_u, params.lambda_q,
-                              params.mu_u, params.mu_q, metric, "ctmc", mean,
-                              None, None, None, None,
-                              "ok" if mean is not None else "n/a"))
-        st = stats[metric]
-        rows.append(ResultRow(name, m, n, k, params.lambda_u, params.lambda_q,
-                              params.mu_u, params.mu_q, metric, "sim", st.mean,
-                              st.half_width, sim.replications, sim.horizon,
-                              sim.base_seed, "ok"))
-    return rows
 
 
 def main():
@@ -53,15 +26,12 @@ def main():
     parser.add_argument("--svg", default="threshold_tradeoff.svg")
     args = parser.parse_args()
 
-    params = validate_params(1 / 3, 1, 1 / 3, 1)
-    sim = SimConfig(args.horizon, 0.0, args.reps, args.seed)
-    rows = []
+    policies = []
     for k in range(1, args.max_k + 1):
-        rows.extend(rows_for(QueryK(k), params, sim,
-                             query_k_metrics(params, k)))
-        rows.extend(rows_for(UpdateK(k), params, sim,
-                             update_k_metrics(params, k)))
-        print(f"k = {k} done")
+        policies += [PolicyRun(f"query{k}", QueryK(k)), PolicyRun(f"update{k}", UpdateK(k))]
+    spec = ExperimentSpec(1 / 3, 1 / 3, 1.0, 1.0, tuple(policies),
+                          SimConfig(args.horizon, 0.0, args.reps, args.seed))
+    rows = run_experiment(spec)
     emit_csv(rows, args.csv)
     emit_plot(rows, "k", ("response_time", "paoi"), args.svg)
     print(f"wrote {args.csv} and {args.svg}")

@@ -1,8 +1,9 @@
 """Closed-form and numerical steady-state results.
 
-FCFS and the k=1 priority policies have exact closed forms. For finite k > 1
-the expected query-queue length comes from the truncated chain; the update
-side then follows from the conservation law for work-conserving non-idling
+FCFS and the k=1 priority policies have exact closed forms. Every thresholded
+policy, Joint-(m, n) with Query-k = (inf, k) and Update-k = (k, inf), is
+solved on the truncated chain: one expected queue length comes from the chain,
+the other from the conservation law for work-conserving non-idling
 disciplines, with the direct chain moment kept as a consistency check.
 """
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import ctmc
-from .model import JobClass, ModelParams, QueryK, Unbounded, UpdateK, stability_guard
+from .model import JobClass, JointMN, ModelParams, QueryK, Unbounded, UpdateK, stability_guard
+from .policy import thresholds
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,11 @@ def conservation_rhs(params: ModelParams) -> float:
             / (1.0 - params.rho))
 
 
+def _alone_finite(own, other) -> bool:
+    """Whether ``own`` is the only finite threshold of the pair."""
+    return not isinstance(own, Unbounded) and isinstance(other, Unbounded)
+
+
 def _solve_threshold_chain(params: ModelParams, policy,
                            truncation: "int | None") -> ctmc.CtmcSolution:
     """Stationary solve; without an explicit truncation, each side grows on
@@ -107,11 +114,13 @@ def _solve_threshold_chain(params: ModelParams, policy,
     if truncation is not None:
         spec = ctmc.CtmcSpec(params, policy, truncation, truncation)
         return ctmc.solve_stationary(ctmc.build_ctmc(spec))
-    # the low-priority queue is the long one: it starts where the square
-    # truncation used to, the prioritized one at twice the threshold region
+    m, n = thresholds(policy)
+    # a queue whose threshold alone is finite is the prioritized, short one
+    # and starts at twice its threshold region; every other queue starts at a
+    # length that grows with the load
     low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
-    high = max(16, 2 * (policy.k + 1))
-    c_q, c_u = (high, low) if isinstance(policy, QueryK) else (low, high)
+    c_q = max(16, 2 * (n + 1)) if _alone_finite(n, m) else low
+    c_u = max(16, 2 * (m + 1)) if _alone_finite(m, n) else low
     while True:
         spec = ctmc.CtmcSpec(params, policy, c_q, c_u)
         solution = ctmc.solve_stationary(ctmc.build_ctmc(spec))
@@ -131,37 +140,39 @@ def _solve_threshold_chain(params: ModelParams, policy,
                 f"per side or {ctmc.MAX_STATES} states")
 
 
-def query_k_metrics(params: ModelParams, k: int,
+def _chain_metrics(label: str, params: ModelParams, policy,
+                   truncation: "int | None") -> ClosedFormResult:
+    solution = _solve_threshold_chain(params, policy, truncation)
+    nq, nu = ctmc.expected_queue_lengths(solution)
+    # the conservation law derives E[N_q] when only the update queue has a
+    # finite threshold (Update-k), and E[N_u] otherwise
+    if _alone_finite(*thresholds(policy)):
+        direct, nq = nq, params.mu_q * (conservation_rhs(params) - nu / params.mu_u)
+        gap = abs(direct - nq)
+    else:
+        direct, nu = nu, params.mu_u * (conservation_rhs(params) - nq / params.mu_q)
+        gap = abs(direct - nu)
+    t_q = nq / params.lambda_q
+    t_u = nu / params.lambda_u
+    return ClosedFormResult(
+        label, params, t_q, t_u, paoi_from_update_system_time(params, t_u),
+        expected_nq=nq, expected_nu=nu,
+        tail_mass=solution.tail_mass, residual=solution.residual,
+        conservation_gap=gap,
+        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
+        n_states=len(solution.rates.states))
+
+
+def query_k_metrics(params: ModelParams, k: "int | Unbounded",
                     truncation: "int | None" = None) -> ClosedFormResult:
-    if isinstance(k, Unbounded):
-        raise ValueError("k = inf has no truncated chain; use the simulator")
-    solution = _solve_threshold_chain(params, QueryK(k), truncation)
-    nq, nu_direct = ctmc.expected_queue_lengths(solution)
-    nu = params.mu_u * (conservation_rhs(params) - nq / params.mu_q)
-    t_q = nq / params.lambda_q
-    t_u = nu / params.lambda_u
-    return ClosedFormResult(
-        "query-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=nq, expected_nu=nu,
-        tail_mass=solution.tail_mass, residual=solution.residual,
-        conservation_gap=abs(nu_direct - nu),
-        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
-        n_states=len(solution.rates.states))
+    return _chain_metrics("query-k", params, QueryK(k), truncation)
 
 
-def update_k_metrics(params: ModelParams, k: int,
+def update_k_metrics(params: ModelParams, k: "int | Unbounded",
                      truncation: "int | None" = None) -> ClosedFormResult:
-    if isinstance(k, Unbounded):
-        raise ValueError("k = inf has no truncated chain; use the simulator")
-    solution = _solve_threshold_chain(params, UpdateK(k), truncation)
-    nq_direct, nu = ctmc.expected_queue_lengths(solution)
-    nq = params.mu_q * (conservation_rhs(params) - nu / params.mu_u)
-    t_q = nq / params.lambda_q
-    t_u = nu / params.lambda_u
-    return ClosedFormResult(
-        "update-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=nq, expected_nu=nu,
-        tail_mass=solution.tail_mass, residual=solution.residual,
-        conservation_gap=abs(nq_direct - nq),
-        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
-        n_states=len(solution.rates.states))
+    return _chain_metrics("update-k", params, UpdateK(k), truncation)
+
+
+def joint_mn_metrics(params: ModelParams, m: "int | Unbounded", n: "int | Unbounded",
+                     truncation: "int | None" = None) -> ClosedFormResult:
+    return _chain_metrics("joint-mn", params, JointMN(m, n), truncation)

@@ -20,12 +20,11 @@ from .model import (
     NonFiniteRate,
     NonPositiveRate,
     QueryK,
-    Unbounded,
     UpdateK,
     Unstable,
     validate_params,
 )
-from .simulator import SimConfig, aggregate, run_replication
+from .simulator import SimConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -106,33 +105,14 @@ def _print_result(result: analytic.ClosedFormResult) -> None:
         print(f"truncation = {c_q} x {c_u} ({result.n_states} states)")
 
 
-def _single_point_rows(source, policy, params, result=None, stats=None, sim=None):
-    name, m, n, k = experiment.policy_columns(policy)
-    rows = []
-    for metric in experiment.METRICS:
-        if result is not None:
-            mean = experiment._result_metric_values(result).get(metric)
-            rows.append(experiment.ResultRow(
-                name, m, n, k, params.lambda_u, params.lambda_q, params.mu_u,
-                params.mu_q, metric, source, mean, None, None, None, None,
-                "ok" if mean is not None else "n/a"))
-        else:
-            st = stats[metric]
-            rows.append(experiment.ResultRow(
-                name, m, n, k, params.lambda_u, params.lambda_q, params.mu_u,
-                params.mu_q, metric, "sim", st.mean, st.half_width,
-                sim.replications, sim.horizon, sim.base_seed,
-                "ok" if st.n else "n/a"))
-    return rows
-
-
 def _cmd_analyze(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     result = experiment.closed_form_for(policy, params)
     _print_result(result)
     if args.out:
-        experiment.emit_csv(_single_point_rows("analytic", policy, params, result), args.out)
+        experiment.emit_csv(experiment.result_rows(policy, params, "analytic", result),
+                            args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -143,7 +123,7 @@ def _cmd_solve(args) -> int:
     result = experiment.ctmc_for(policy, params, args.trunc)
     _print_result(result)
     if args.out:
-        experiment.emit_csv(_single_point_rows("ctmc", policy, params, result), args.out)
+        experiment.emit_csv(experiment.result_rows(policy, params, "ctmc", result), args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -152,8 +132,7 @@ def _cmd_simulate(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     sim = SimConfig(args.horizon, args.warmup, args.reps, _resolve_seed(args.seed, 12345))
-    runs = [run_replication(params, policy, sim, rep) for rep in range(sim.replications)]
-    stats = aggregate(runs)
+    stats = experiment.simulation_stats(policy, params, sim)
     if params.rho >= 1:
         print(f"warning: rho = {params.rho:.4g} >= 1, metrics are transient", file=sys.stderr)
     for metric in experiment.METRICS:
@@ -165,7 +144,7 @@ def _cmd_simulate(args) -> int:
         else:
             print(f"{metric}: {st.mean:.6g} +/- {st.half_width:.3g} (95% CI, n={st.n})")
     if args.out:
-        experiment.emit_csv(_single_point_rows("sim", policy, params, stats=stats, sim=sim),
+        experiment.emit_csv(experiment.result_rows(policy, params, "sim", stats=stats, sim=sim),
                             args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
@@ -193,8 +172,7 @@ def _cmd_compare(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     sim = SimConfig(args.horizon, args.warmup, args.reps, _resolve_seed(args.seed, 12345))
-    runs = [run_replication(params, policy, sim, rep) for rep in range(sim.replications)]
-    stats = aggregate(runs)
+    stats = experiment.simulation_stats(policy, params, sim)
     engines = experiment.applicable_engines(policy)
     results = {}
     if "closed_form" in engines:
@@ -248,9 +226,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("solve", help="truncated-chain steady state for Query-k/Update-k")
+    p = sub.add_parser("solve", help="truncated-chain steady state for Query-k, Update-k "
+                                     "and Joint-(m, n)")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("query-k", "update-k"))
+    _add_policy_flags(p, ("query-k", "update-k", "joint-mn"))
     p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)

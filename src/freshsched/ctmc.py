@@ -1,4 +1,4 @@
-"""Truncated continuous-time Markov chain for the single-threshold policies.
+"""Truncated continuous-time Markov chain for the thresholded policies.
 
 States are (n_q, n_u, z) with z = 0 empty/idle, z = 1 serving the query queue,
 z = 2 serving the update queue. Transitions are generated through the shared
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .model import ModelParams, QueryK, Unbounded, UpdateK
+from .model import Fcfs, ModelParams
 from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
                      decision_table)
 
@@ -42,27 +42,23 @@ class Reducible(RuntimeError):
     """The represented state space is not a single recurrent class."""
 
 
-def _finite_k(policy) -> int:
-    if isinstance(policy, (QueryK, UpdateK)) and not isinstance(policy.k, Unbounded):
-        return policy.k
-    raise ValueError(f"CTMC supports QueryK/UpdateK with finite k, got {policy!r}")
-
-
 @dataclass(frozen=True)
 class CtmcSpec:
     params: ModelParams
-    policy: "QueryK | UpdateK"
+    policy: "QueryK | UpdateK | JointMN"
     c_q: int
     c_u: int
 
     def __post_init__(self):
-        k = _finite_k(self.policy)
-        bound = self.c_q if isinstance(self.policy, QueryK) else self.c_u
-        if bound < k + 2:
+        if isinstance(self.policy, Fcfs):
+            raise ValueError("FCFS has no chain on queue counts: it serves by arrival order")
+        # the chain must reach the table's caps, from which on a count decides
+        # like every count above it
+        cap_q, cap_u, _ = decision_table(self.policy)
+        if self.c_q < cap_q or self.c_u < cap_u:
             raise TruncationTooSmall(
-                f"truncation {bound} below k+2 = {k + 2} for {self.policy!r}")
-        if self.c_q < 1 or self.c_u < 1:
-            raise TruncationTooSmall("truncation bounds must be >= 1")
+                f"truncation {self.c_q} x {self.c_u} below the decision table's "
+                f"{cap_q} x {cap_u} for {self.policy!r}")
 
 
 @dataclass

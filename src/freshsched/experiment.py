@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import analytic, ctmc
-from .config import ExperimentSpec, PolicyRun
+from .config import ExperimentSpec
 from .model import Fcfs, JointMN, ModelParams, QueryK, Unbounded, UpdateK, validate_params
-from .simulator import SimConfig, aggregate, run_replication
+from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
 METRICS = ("response_time", "paoi", "aoi", "nq", "nu")
 SOURCES = ("analytic", "ctmc", "sim")
@@ -61,20 +61,10 @@ def applicable_engines(spec) -> List[str]:
     engines = []
     if isinstance(spec, Fcfs) or (isinstance(spec, (QueryK, UpdateK)) and spec.k == 1):
         engines.append("closed_form")
-    if isinstance(spec, (QueryK, UpdateK)) and not isinstance(spec.k, Unbounded):
+    if not isinstance(spec, Fcfs):
         engines.append("ctmc")
     engines.append("simulation")
     return engines
-
-
-def _resolve_engines(run: PolicyRun) -> List[str]:
-    if run.engine == "all":
-        return applicable_engines(run.spec)
-    if (run.engine == "ctmc" and isinstance(run.spec, (QueryK, UpdateK))
-            and isinstance(run.spec.k, Unbounded)):
-        # no truncated chain for an unbounded threshold; fall back to simulation
-        return ["simulation"]
-    return [run.engine]
 
 
 def closed_form_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
@@ -93,6 +83,8 @@ def ctmc_for(spec, params: ModelParams,
         return analytic.query_k_metrics(params, spec.k, truncation)
     if isinstance(spec, UpdateK):
         return analytic.update_k_metrics(params, spec.k, truncation)
+    if isinstance(spec, JointMN):
+        return analytic.joint_mn_metrics(params, spec.m, spec.n, truncation)
     raise ValueError(f"no chain solver for {spec!r}")
 
 
@@ -106,12 +98,28 @@ def _result_metric_values(result: analytic.ClosedFormResult) -> Dict[str, Option
     }
 
 
-def _analysis_rows(source, run, params, result, error, stable) -> List[ResultRow]:
-    name, m, n, k = policy_columns(run.spec)
+def result_rows(policy, params: ModelParams, source: str,
+                result: "analytic.ClosedFormResult | None" = None,
+                stats: "Dict[str, SummaryStats] | None" = None,
+                sim: "SimConfig | None" = None,
+                error: "str | None" = None) -> List[ResultRow]:
+    """The row of every metric for one policy at one point from one source.
+
+    A simulation source passes its ``stats`` and ``sim``; an analysis source
+    its ``result``, or an ``error`` status, or neither at an unstable point.
+    """
+    name, m, n, k = policy_columns(policy)
+    stable = params.rho < 1.0
     values = _result_metric_values(result) if result is not None else {}
     rows = []
     for metric in METRICS:
-        if error is not None:
+        ci = reps = horizon = seed = None
+        if stats is not None:
+            st = stats[metric]
+            mean, ci = st.mean, st.half_width
+            reps, horizon, seed = sim.replications, sim.horizon, sim.base_seed
+            status = "n/a" if st.n == 0 else ("ok" if stable else "unstable")
+        elif error is not None:
             mean, status = None, error
         elif not stable:
             mean, status = None, "unstable"
@@ -120,43 +128,33 @@ def _analysis_rows(source, run, params, result, error, stable) -> List[ResultRow
             status = "ok" if mean is not None else "n/a"
         rows.append(ResultRow(name, m, n, k, params.lambda_u, params.lambda_q,
                               params.mu_u, params.mu_q, metric, source,
-                              mean, None, None, None, None, status))
+                              mean, ci, reps, horizon, seed, status))
     return rows
 
 
-def simulation_rows(run: PolicyRun, params: ModelParams, sim: SimConfig,
-                    stable: bool) -> List[ResultRow]:
-    runs = [run_replication(params, run.spec, sim, rep)
-            for rep in range(sim.replications)]
-    stats = aggregate(runs)
-    name, m, n, k = policy_columns(run.spec)
-    rows = []
-    for metric in METRICS:
-        st = stats[metric]
-        status = "n/a" if st.n == 0 else ("ok" if stable else "unstable")
-        rows.append(ResultRow(name, m, n, k, params.lambda_u, params.lambda_q,
-                              params.mu_u, params.mu_q, metric, "sim",
-                              st.mean, st.half_width, sim.replications,
-                              sim.horizon, sim.base_seed, status))
-    return rows
+def simulation_stats(policy, params: ModelParams,
+                     sim: SimConfig) -> Dict[str, SummaryStats]:
+    runs = [run_replication(params, policy, sim, rep) for rep in range(sim.replications)]
+    return aggregate(runs)
 
 
-def _engine_rows(engine: str, run: PolicyRun, params: ModelParams,
-                 sim: SimConfig, stable: bool) -> List[ResultRow]:
+def _engine_rows(engine: str, policy, params: ModelParams,
+                 sim: SimConfig) -> List[ResultRow]:
     if engine == "simulation":
-        return simulation_rows(run, params, sim, stable)
+        return result_rows(policy, params, "sim",
+                           stats=simulation_stats(policy, params, sim), sim=sim)
     source = "analytic" if engine == "closed_form" else "ctmc"
-    if engine not in applicable_engines(run.spec):
-        return _analysis_rows(source, run, params, None, "error: unsupported engine", stable)
-    if not stable:
-        return _analysis_rows(source, run, params, None, None, stable)
+    if engine not in applicable_engines(policy):
+        return result_rows(policy, params, source, error="error: unsupported engine")
+    if params.rho >= 1.0:
+        return result_rows(policy, params, source)
     try:
-        result = (closed_form_for(run.spec, params) if engine == "closed_form"
-                  else ctmc_for(run.spec, params))
+        result = (closed_form_for(policy, params) if engine == "closed_form"
+                  else ctmc_for(policy, params))
     except (ctmc.NoConvergence, ctmc.TruncationTooSmall) as exc:
         message = f"error: {exc}".replace(",", ";")  # keep the CSV single-field
-        return _analysis_rows(source, run, params, None, message, stable)
-    return _analysis_rows(source, run, params, result, None, stable)
+        return result_rows(policy, params, source, error=message)
+    return result_rows(policy, params, source, result=result)
 
 
 def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
@@ -169,11 +167,11 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
             rates[spec.sweep.rate] = value
         params = validate_params(rates["lambda_u"], rates["mu_u"],
                                  rates["lambda_q"], rates["mu_q"])
-        stable = params.rho < 1.0
         for run in spec.policies:
+            engines = applicable_engines(run.spec) if run.engine == "all" else [run.engine]
             point_rows: List[ResultRow] = []
-            for engine in _resolve_engines(run):
-                point_rows.extend(_engine_rows(engine, run, params, spec.sim, stable))
+            for engine in engines:
+                point_rows.extend(_engine_rows(engine, run.spec, params, spec.sim))
             point_rows.sort(key=lambda r: (METRICS.index(r.metric),
                                            SOURCES.index(r.source)))
             rows.extend(point_rows)

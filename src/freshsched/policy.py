@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import Iterable, List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
-from .model import Fcfs, JobClass, JobRecord, JointMN, QueryK, Unbounded, UpdateK
+from .model import UNBOUNDED, Fcfs, JointMN, QueryK, Unbounded, UpdateK
 
 
 class ServerPosition(enum.Enum):
@@ -29,7 +29,6 @@ class SchedulerState(NamedTuple):
     n_q: int
     n_u: int
     position: ServerPosition
-    emptying_mode: bool = False
 
 
 class InconsistentTrigger(ValueError):
@@ -41,7 +40,7 @@ class FcfsOrderUndetermined(ValueError):
 
 
 def initial_state() -> SchedulerState:
-    return SchedulerState(0, 0, ServerPosition.IDLE, False)
+    return SchedulerState(0, 0, ServerPosition.IDLE)
 
 
 def _apply_counts(state: SchedulerState, trigger: Trigger) -> tuple:
@@ -78,52 +77,33 @@ def _decide_fcfs(state, trigger, n_q, n_u) -> SchedulerState:
         if pos is ServerPosition.IDLE:
             pos = (ServerPosition.SERVING_QUERY if trigger is Trigger.ARRIVAL_QUERY
                    else ServerPosition.SERVING_UPDATE)
-        return SchedulerState(n_q, n_u, pos, False)
+        return SchedulerState(n_q, n_u, pos)
     # departure: the next job is the globally oldest, which counts alone only
     # determine when at most one queue is nonempty
     if n_q == 0 and n_u == 0:
-        return SchedulerState(0, 0, ServerPosition.IDLE, False)
+        return SchedulerState(0, 0, ServerPosition.IDLE)
     if n_q == 0:
-        return SchedulerState(n_q, n_u, ServerPosition.SERVING_UPDATE, False)
+        return SchedulerState(n_q, n_u, ServerPosition.SERVING_UPDATE)
     if n_u == 0:
-        return SchedulerState(n_q, n_u, ServerPosition.SERVING_QUERY, False)
-    raise FcfsOrderUndetermined(
-        "both queues nonempty after an FCFS departure; use equivalent_fcfs_order")
+        return SchedulerState(n_q, n_u, ServerPosition.SERVING_QUERY)
+    raise FcfsOrderUndetermined("both queues nonempty after an FCFS departure")
 
 
-def _decide_one_threshold(k, state, trigger, n_q, n_u, query_side: bool) -> SchedulerState:
-    """Query-k when query_side, Update-k otherwise (fully symmetric)."""
-    if query_side:
-        a, b = n_q, n_u
-        serv_a, serv_b = ServerPosition.SERVING_QUERY, ServerPosition.SERVING_UPDATE
-        arrival_a = Trigger.ARRIVAL_QUERY
-    else:
-        a, b = n_u, n_q
-        serv_a, serv_b = ServerPosition.SERVING_UPDATE, ServerPosition.SERVING_QUERY
-        arrival_a = Trigger.ARRIVAL_UPDATE
-
-    pos = state.position
-    if pos is serv_b:
-        if b == 0:
-            new_pos = serv_a if a > 0 else ServerPosition.IDLE
-            return SchedulerState(n_q, n_u, new_pos, new_pos is serv_a)
-        if _hit(a, k):
-            return SchedulerState(n_q, n_u, serv_a, True)
-        return SchedulerState(n_q, n_u, serv_b, False)
-    if pos is serv_a:
-        if a == 0:
-            new_pos = serv_b if b > 0 else ServerPosition.IDLE
-            return SchedulerState(n_q, n_u, new_pos, False)
-        return SchedulerState(n_q, n_u, serv_a, True)
-    # idle: serve the arriving class
-    if trigger is arrival_a:
-        return SchedulerState(n_q, n_u, serv_a, True)
-    return SchedulerState(n_q, n_u, serv_b, False)
+def thresholds(policy) -> tuple:
+    """The (m, n) pair of a thresholded policy: the update queue's threshold m
+    and the query queue's n. Query-k is (inf, k) and Update-k is (k, inf)."""
+    if isinstance(policy, QueryK):
+        return UNBOUNDED, policy.k
+    if isinstance(policy, UpdateK):
+        return policy.k, UNBOUNDED
+    if isinstance(policy, JointMN):
+        return policy.m, policy.n
+    raise TypeError(f"unknown policy {policy!r}")
 
 
-def _decide_joint(policy: JointMN, state, trigger, n_q, n_u) -> SchedulerState:
-    u_hit = _hit(n_u, policy.m)
-    q_hit = _hit(n_q, policy.n)
+def _decide_joint(m, n, state, trigger, n_q, n_u) -> SchedulerState:
+    u_hit = _hit(n_u, m)
+    q_hit = _hit(n_q, n)
     if u_hit and q_hit:
         if trigger is Trigger.ARRIVAL_QUERY:
             pos = ServerPosition.SERVING_QUERY
@@ -146,7 +126,7 @@ def _decide_joint(policy: JointMN, state, trigger, n_q, n_u) -> SchedulerState:
                 pos = ServerPosition.SERVING_QUERY
             else:
                 pos = ServerPosition.SERVING_UPDATE
-    return SchedulerState(n_q, n_u, pos, False)
+    return SchedulerState(n_q, n_u, pos)
 
 
 def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
@@ -155,18 +135,7 @@ def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
     n_q, n_u = _apply_counts(state, trigger)
     if isinstance(policy, Fcfs):
         return _decide_fcfs(state, trigger, n_q, n_u)
-    if isinstance(policy, QueryK):
-        return _decide_one_threshold(policy.k, state, trigger, n_q, n_u, query_side=True)
-    if isinstance(policy, UpdateK):
-        return _decide_one_threshold(policy.k, state, trigger, n_q, n_u, query_side=False)
-    if isinstance(policy, JointMN):
-        return _decide_joint(policy, state, trigger, n_q, n_u)
-    raise TypeError(f"unknown policy {policy!r}")
-
-
-def equivalent_fcfs_order(jobs: Iterable[JobRecord]) -> List[JobRecord]:
-    """Merge both classes into one FIFO line; ties serve the update first."""
-    return sorted(jobs, key=lambda j: (j.arrival_time, 0 if j.job_class is JobClass.UPDATE else 1))
+    return _decide_joint(*thresholds(policy), state, trigger, n_q, n_u)
 
 
 # Integer codes of the decision table: a position is its index in POSITIONS
@@ -215,17 +184,11 @@ def _table_entry(policy, state: SchedulerState, trigger: Trigger):
 @functools.lru_cache(maxsize=64)
 def decision_table(policy) -> DecisionTable:
     """Call `decide` once on every valid state with counts up to the caps."""
-    if isinstance(policy, QueryK):
-        cap_q, cap_u = _cap(policy.k), 2
-    elif isinstance(policy, UpdateK):
-        cap_q, cap_u = 2, _cap(policy.k)
-    elif isinstance(policy, JointMN):
-        cap_q, cap_u = _cap(policy.n), _cap(policy.m)
-    elif isinstance(policy, Fcfs):
+    if isinstance(policy, Fcfs):
         cap_q, cap_u = 2, 2
     else:
-        raise TypeError(f"unknown policy {policy!r}")
-    # the emptying flag is left False: decide never reads it
+        m, n = thresholds(policy)
+        cap_q, cap_u = _cap(n), _cap(m)
     return DecisionTable(cap_q, cap_u, tuple(
         tuple(tuple(tuple(_table_entry(policy, SchedulerState(i, j, position), trigger)
                           for j in range(cap_u + 1))

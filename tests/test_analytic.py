@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,7 @@ from freshsched import ctmc
 from freshsched.analytic import (
     conservation_rhs,
     fcfs_metrics,
+    joint_mn_metrics,
     paoi_from_update_system_time,
     priority_system_time,
     query1_metrics,
@@ -13,7 +16,8 @@ from freshsched.analytic import (
     update1_metrics,
     update_k_metrics,
 )
-from freshsched.model import UNBOUNDED, JobClass, Unstable, validate_params
+from freshsched.model import UNBOUNDED, JobClass, JointMN, Unstable, validate_params
+from freshsched.simulator import SimConfig, aggregate, run_replication
 
 
 def params(lu, lq, mu=1.0, mq=1.0):
@@ -137,12 +141,6 @@ class TestPaoiIdentity:
 
 
 class TestThresholdChainMetrics:
-    def test_unbounded_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            query_k_metrics(params(0.5, 0.1), UNBOUNDED)
-        with pytest.raises(ValueError):
-            update_k_metrics(params(0.5, 0.1), UNBOUNDED)
-
     def test_unstable_rejected(self):
         with pytest.raises(Unstable):
             query_k_metrics(params(0.8, 0.3), 3)
@@ -194,3 +192,33 @@ class TestThresholdChainMetrics:
         monkeypatch.setattr(ctmc, "MAX_STATES", 16 * 160)
         with pytest.raises(ctmc.NoConvergence, match="tail mass"):
             query_k_metrics(params(0.85, 0.1), 1)
+
+
+class TestJointChain:
+    def test_joint_inf_k_is_query_k(self):
+        p = params(0.5, 0.1)
+        joint = joint_mn_metrics(p, UNBOUNDED, 3)
+        assert dataclasses.replace(joint, policy="query-k") == query_k_metrics(p, 3)
+        joint = joint_mn_metrics(p, 3, UNBOUNDED)
+        assert dataclasses.replace(joint, policy="update-k") == update_k_metrics(p, 3)
+
+    def test_unbounded_query_k_is_unbounded_update_k(self):
+        p = params(0.5, 0.1)
+        q = query_k_metrics(p, UNBOUNDED)
+        u = update_k_metrics(p, UNBOUNDED)
+        assert dataclasses.replace(u, policy="query-k") == q
+        assert q.tail_mass < 1e-8
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (1, 5)])
+    def test_joint_chain_conserves_work_and_matches_simulation(self, m, n):
+        p = params(1 / 3, 1 / 3)
+        chain = joint_mn_metrics(p, m, n)
+        assert chain.conservation_gap / chain.expected_nu < 1e-9
+        assert chain.tail_mass < 1e-8
+        sim = SimConfig(20000, 0.0, 10, 1)
+        stats = aggregate([run_replication(p, JointMN(m, n), sim, rep) for rep in range(10)])
+        for metric, value in (("response_time", chain.expected_response_time),
+                              ("paoi", chain.expected_paoi),
+                              ("nq", chain.expected_nq), ("nu", chain.expected_nu)):
+            st = stats[metric]
+            assert abs(st.mean - value) <= 2 * st.half_width, (metric, st, value)

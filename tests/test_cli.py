@@ -103,11 +103,23 @@ class TestRunExperiment:
         assert len(rows) == 3 * 5 * (2 + 3)
 
     def test_unsupported_engine_rows_are_marked(self, tmp_path):
-        cfg = BASE_CONFIG + "\n[policy.joint]\ntype = joint-mn\nm = 2\nn = 2\nengine = ctmc\n"
+        cfg = BASE_CONFIG.replace("type = fcfs", "type = fcfs\nengine = ctmc")
         rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
-        joint = [r for r in rows if r.policy == "joint-mn"]
-        assert joint and all(r.status == "error: unsupported engine" for r in joint)
-        assert all(r.mean is None for r in joint)
+        assert len(rows) == 5
+        assert all(r.status == "error: unsupported engine" for r in rows)
+        assert all(r.mean is None and r.source == "ctmc" for r in rows)
+
+    def test_chain_covers_joint_and_unbounded_thresholds(self, tmp_path):
+        cfg = BASE_CONFIG.replace("type = fcfs", "type = joint-mn\nm = 2\nn = 3") + (
+            "\n[policy.deep]\ntype = query-k\nk = inf\n")
+        rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
+        for policy in ("joint-mn", "query-k"):
+            mine = [r for r in rows if r.policy == policy]
+            assert sorted({r.source for r in mine}) == ["ctmc", "sim"]
+            assert len(mine) == 10
+            for r in mine:
+                want = "n/a" if (r.source, r.metric) == ("ctmc", "aoi") else "ok"
+                assert r.status == want, r
 
     def test_unstable_points_flagged_not_dropped(self, tmp_path):
         cfg = BASE_CONFIG + "\n[sweep]\nrate = lambda_u\nstart = 0.5\nstop = 1.1\nstep = 0.3\n"
@@ -209,6 +221,14 @@ class TestCliCommands:
         assert code == 0
         assert "truncation = 16 x 64 (" in out
 
+    def test_solve_joint_prints_truncation(self, capsys):
+        code = cli.main(["solve", "--policy", "joint-mn", "--m", "2", "--n", "3",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "policy = joint-mn" in out
+        assert "truncation = 64 x 64 (" in out
+
     def test_solve_past_state_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ctmc, "MAX_STATES", 100)
         code = cli.main(["solve", "--policy", "query-k", "--k", "1",
@@ -272,6 +292,15 @@ class TestCliCommands:
         assert {r.metric for r in rows} == {"response_time", "paoi", "aoi", "nq", "nu"}
         assert all(r.policy == "joint-mn" for r in rows)
 
+    def test_simulate_out_marks_unstable_rows(self, capsys, tmp_path):
+        out = tmp_path / "sim.csv"
+        code = cli.main(["simulate", "--policy", "fcfs", "--lambda-u", "0.9",
+                         "--lambda-q", "0.2", "--horizon", "300", "--reps", "2",
+                         "--out", str(out)])
+        assert code == 0
+        rows = read_csv(str(out))
+        assert len(rows) == 5 and all(r.status == "unstable" for r in rows)
+
     def test_plot_from_csv(self, capsys, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG + (
             "\n[sweep]\nrate = lambda_u\nstart = 0.2\nstop = 0.4\nstep = 0.1\n"))
@@ -295,3 +324,11 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "agreement within 2 CI half-widths" in out
+
+    def test_compare_joint_has_chain_column(self, capsys):
+        code = cli.main(["compare", "--policy", "joint-mn", "--m", "2", "--n", "3",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1",
+                         "--horizon", "2000", "--reps", "4"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ctmc" in out.splitlines()[0]

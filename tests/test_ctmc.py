@@ -19,7 +19,7 @@ from freshsched.ctmc import (
     solve_stationary,
 )
 from freshsched.analytic import conservation_rhs, query1_metrics
-from freshsched.model import QueryK, UpdateK, validate_params
+from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
 
 
 def chain_from_edges(states, edges):
@@ -77,12 +77,13 @@ class TestCtmcSpec:
         with pytest.raises(TruncationTooSmall):
             CtmcSpec(p, UpdateK(5), 64, 4)
         CtmcSpec(p, QueryK(5), 7, 64)  # k+2 exactly is allowed
+        with pytest.raises(TruncationTooSmall):
+            CtmcSpec(p, JointMN(3, 5), 64, 4)  # c_u below m + 2
+        CtmcSpec(p, JointMN(3, 5), 7, 5)
 
-    def test_unbounded_threshold_rejected(self):
-        from freshsched.model import UNBOUNDED
-        p = validate_params(0.5, 1, 0.1, 1)
+    def test_fcfs_rejected(self):
         with pytest.raises(ValueError):
-            CtmcSpec(p, QueryK(UNBOUNDED), 64, 64)
+            CtmcSpec(validate_params(0.5, 1, 0.1, 1), Fcfs(), 64, 64)
 
     def test_max_truncation_is_sane(self):
         assert MAX_TRUNCATION >= 1024

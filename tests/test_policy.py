@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from freshsched.model import UNBOUNDED, Fcfs, JobClass, JobRecord, JointMN, QueryK, UpdateK
+from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 from freshsched.policy import (
     OLDER_HEAD,
     POSITIONS,
@@ -14,7 +14,6 @@ from freshsched.policy import (
     Trigger,
     decide,
     decision_table,
-    equivalent_fcfs_order,
     initial_state,
 )
 
@@ -38,7 +37,7 @@ def valid_triggers(state):
 
 class TestInitialState:
     def test_empty_idle(self):
-        assert initial_state() == SchedulerState(0, 0, IDLE, False)
+        assert initial_state() == SchedulerState(0, 0, IDLE)
 
     @pytest.mark.parametrize("policy", ALL_POLICIES)
     def test_first_query_arrival_starts_service(self, policy):
@@ -57,113 +56,113 @@ class TestTriggerConsistency:
             decide(Fcfs(), initial_state(), Trigger.DEPARTURE_QUERY)
 
     def test_departure_from_wrong_position_rejected(self):
-        state = SchedulerState(1, 1, SU, False)
+        state = SchedulerState(1, 1, SU)
         with pytest.raises(InconsistentTrigger):
             decide(QueryK(3), state, Trigger.DEPARTURE_QUERY)
 
     def test_invalid_state_rejected(self):
         with pytest.raises(InconsistentTrigger):
-            decide(QueryK(3), SchedulerState(0, 0, SQ, False), Trigger.ARRIVAL_QUERY)
+            decide(QueryK(3), SchedulerState(0, 0, SQ), Trigger.ARRIVAL_QUERY)
         with pytest.raises(InconsistentTrigger):
-            decide(QueryK(3), SchedulerState(1, 0, IDLE, False), Trigger.ARRIVAL_QUERY)
+            decide(QueryK(3), SchedulerState(1, 0, IDLE), Trigger.ARRIVAL_QUERY)
 
 
 class TestQueryK:
     def test_threshold_arrival_triggers_switch(self):
         # serving updates with 2 queries waiting; the third query arrival
         # reaches k=3 and flips the server into the emptying phase
-        state = SchedulerState(2, 5, SU, False)
+        state = SchedulerState(2, 5, SU)
         post = decide(QueryK(3), state, Trigger.ARRIVAL_QUERY)
-        assert post == SchedulerState(3, 5, SQ, True)
+        assert post == SchedulerState(3, 5, SQ)
 
     def test_update_queue_emptying_triggers_switch(self):
-        state = SchedulerState(1, 1, SU, False)
+        state = SchedulerState(1, 1, SU)
         post = decide(QueryK(3), state, Trigger.DEPARTURE_UPDATE)
-        assert post == SchedulerState(1, 0, SQ, True)
+        assert post == SchedulerState(1, 0, SQ)
 
     def test_below_threshold_keeps_serving_updates(self):
-        state = SchedulerState(1, 5, SU, False)
+        state = SchedulerState(1, 5, SU)
         post = decide(QueryK(3), state, Trigger.ARRIVAL_QUERY)
-        assert post == SchedulerState(2, 5, SU, False)
+        assert post == SchedulerState(2, 5, SU)
 
     def test_emptying_is_exhaustive_over_new_arrivals(self):
         # a query arriving during the emptying phase is also served before
         # the server returns to the update queue
-        state = SchedulerState(1, 5, SQ, True)
+        state = SchedulerState(1, 5, SQ)
         post = decide(QueryK(3), state, Trigger.ARRIVAL_QUERY)
-        assert post.position is SQ and post.emptying_mode
-        post2 = decide(QueryK(3), SchedulerState(2, 5, SQ, True), Trigger.DEPARTURE_QUERY)
-        assert post2.position is SQ and post2.emptying_mode
+        assert post.position is SQ
+        post2 = decide(QueryK(3), SchedulerState(2, 5, SQ), Trigger.DEPARTURE_QUERY)
+        assert post2.position is SQ
 
     def test_query_queue_exhaustion_returns_to_updates(self):
-        post = decide(QueryK(3), SchedulerState(1, 5, SQ, True), Trigger.DEPARTURE_QUERY)
-        assert post == SchedulerState(0, 5, SU, False)
+        post = decide(QueryK(3), SchedulerState(1, 5, SQ), Trigger.DEPARTURE_QUERY)
+        assert post == SchedulerState(0, 5, SU)
 
     def test_total_exhaustion_goes_idle(self):
-        post = decide(QueryK(3), SchedulerState(1, 0, SQ, True), Trigger.DEPARTURE_QUERY)
-        assert post == SchedulerState(0, 0, IDLE, False)
+        post = decide(QueryK(3), SchedulerState(1, 0, SQ), Trigger.DEPARTURE_QUERY)
+        assert post == SchedulerState(0, 0, IDLE)
 
 
 class TestUpdateK:
     def test_mirror_threshold_switch(self):
-        state = SchedulerState(5, 2, SQ, False)
+        state = SchedulerState(5, 2, SQ)
         post = decide(UpdateK(3), state, Trigger.ARRIVAL_UPDATE)
-        assert post == SchedulerState(5, 3, SU, True)
+        assert post == SchedulerState(5, 3, SU)
 
     def test_query_queue_emptying_triggers_switch(self):
-        post = decide(UpdateK(3), SchedulerState(1, 1, SQ, False), Trigger.DEPARTURE_QUERY)
-        assert post == SchedulerState(0, 1, SU, True)
+        post = decide(UpdateK(3), SchedulerState(1, 1, SQ), Trigger.DEPARTURE_QUERY)
+        assert post == SchedulerState(0, 1, SU)
 
 
 class TestFcfs:
     def test_departure_with_one_queue_left(self):
-        post = decide(Fcfs(), SchedulerState(0, 2, SU, False), Trigger.DEPARTURE_UPDATE)
-        assert post == SchedulerState(0, 1, SU, False)
+        post = decide(Fcfs(), SchedulerState(0, 2, SU), Trigger.DEPARTURE_UPDATE)
+        assert post == SchedulerState(0, 1, SU)
 
     def test_departure_emptying_system(self):
-        post = decide(Fcfs(), SchedulerState(1, 0, SQ, False), Trigger.DEPARTURE_QUERY)
-        assert post == SchedulerState(0, 0, IDLE, False)
+        post = decide(Fcfs(), SchedulerState(1, 0, SQ), Trigger.DEPARTURE_QUERY)
+        assert post == SchedulerState(0, 0, IDLE)
 
     def test_order_undetermined_with_both_queues(self):
         with pytest.raises(FcfsOrderUndetermined):
-            decide(Fcfs(), SchedulerState(1, 2, SU, False), Trigger.DEPARTURE_UPDATE)
+            decide(Fcfs(), SchedulerState(1, 2, SU), Trigger.DEPARTURE_UPDATE)
 
     def test_arrival_never_preempts(self):
-        post = decide(Fcfs(), SchedulerState(0, 1, SU, False), Trigger.ARRIVAL_QUERY)
+        post = decide(Fcfs(), SchedulerState(0, 1, SU), Trigger.ARRIVAL_QUERY)
         assert post.position is SU
 
 
 class TestJointMN:
     def test_both_thresholds_serve_arriving_class(self):
-        state = SchedulerState(1, 2, SU, False)
+        state = SchedulerState(1, 2, SU)
         post = decide(JointMN(2, 2), state, Trigger.ARRIVAL_QUERY)
-        assert post == SchedulerState(2, 2, SQ, False)
-        state = SchedulerState(2, 1, SQ, False)
+        assert post == SchedulerState(2, 2, SQ)
+        state = SchedulerState(2, 1, SQ)
         post = decide(JointMN(2, 2), state, Trigger.ARRIVAL_UPDATE)
-        assert post == SchedulerState(2, 2, SU, False)
+        assert post == SchedulerState(2, 2, SU)
 
     def test_single_threshold_forces_switch(self):
-        post = decide(JointMN(2, 5), SchedulerState(0, 1, SU, False),
+        post = decide(JointMN(2, 5), SchedulerState(0, 1, SU),
                       Trigger.ARRIVAL_UPDATE)
         assert post.position is SU
-        post = decide(JointMN(5, 2), SchedulerState(1, 1, SU, False),
+        post = decide(JointMN(5, 2), SchedulerState(1, 1, SU),
                       Trigger.ARRIVAL_QUERY)
-        assert post == SchedulerState(2, 1, SQ, False)
+        assert post == SchedulerState(2, 1, SQ)
 
     def test_departure_keeps_position_when_both_thresholds_hold(self):
-        post = decide(JointMN(1, 1), SchedulerState(2, 2, SQ, False),
+        post = decide(JointMN(1, 1), SchedulerState(2, 2, SQ),
                       Trigger.DEPARTURE_QUERY)
         assert post.position is SQ
 
     def test_no_threshold_keeps_current_queue(self):
-        post = decide(JointMN(5, 5), SchedulerState(1, 1, SU, False),
+        post = decide(JointMN(5, 5), SchedulerState(1, 1, SU),
                       Trigger.ARRIVAL_QUERY)
         assert post.position is SU
 
     def test_current_queue_empty_moves_to_other(self):
-        post = decide(JointMN(5, 5), SchedulerState(2, 1, SU, False),
+        post = decide(JointMN(5, 5), SchedulerState(2, 1, SU),
                       Trigger.DEPARTURE_UPDATE)
-        assert post == SchedulerState(2, 0, SQ, False)
+        assert post == SchedulerState(2, 0, SQ)
 
 
 def enumerate_states(limit=10):
@@ -176,8 +175,7 @@ def enumerate_states(limit=10):
                     continue
                 if pos is IDLE and (n_q or n_u):
                     continue
-                for emptying in ((False, True) if pos is not IDLE else (False,)):
-                    yield SchedulerState(n_q, n_u, pos, emptying)
+                yield SchedulerState(n_q, n_u, pos)
 
 
 class TestPriorityEquivalence:
@@ -203,13 +201,11 @@ class TestPriorityEquivalence:
                      Trigger.DEPARTURE_QUERY: Trigger.DEPARTURE_UPDATE,
                      Trigger.DEPARTURE_UPDATE: Trigger.DEPARTURE_QUERY}
         for state in enumerate_states(10):
-            mirrored = SchedulerState(state.n_u, state.n_q,
-                                      swap_pos[state.position], state.emptying_mode)
+            mirrored = SchedulerState(state.n_u, state.n_q, swap_pos[state.position])
             for trigger in valid_triggers(state):
                 post = decide(QueryK(1), state, trigger)
                 mirror_post = decide(UpdateK(1), mirrored, swap_trig[trigger])
-                assert mirror_post == SchedulerState(
-                    post.n_u, post.n_q, swap_pos[post.position], post.emptying_mode)
+                assert mirror_post == SchedulerState(post.n_u, post.n_q, swap_pos[post.position])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2 ** 31), max_size=200))
@@ -270,30 +266,11 @@ class TestDecisionTable:
         assert table[idle][departure_query][0][0] is None
         assert table[serving_query][departure_query][0][1] is None  # no query present
 
-    @pytest.mark.parametrize("policy", ALL_POLICIES + [JointMN(1, 5)])
-    def test_emptying_flag_does_not_decide(self, policy):
-        # the table leaves the flag out of its key
-        for state in enumerate_states(6):
-            flipped = state._replace(emptying_mode=not state.emptying_mode)
-            for trigger in valid_triggers(state):
-                try:
-                    post = decide(policy, state, trigger)
-                except FcfsOrderUndetermined:
-                    continue
-                assert decide(policy, flipped, trigger).position is post.position
+    @pytest.mark.parametrize("k", [1, 3, 12])
+    def test_single_threshold_policies_are_joint_policies(self, k):
+        # Query-k is Joint-(inf, k) and Update-k is Joint-(k, inf)
+        assert decision_table(QueryK(k)) == decision_table(JointMN(UNBOUNDED, k))
+        assert decision_table(UpdateK(k)) == decision_table(JointMN(k, UNBOUNDED))
 
-
-class TestEquivalentFcfsOrder:
-    def test_merged_arrival_order(self):
-        jobs = [JobRecord(JobClass.UPDATE, 1.0, 1.0),
-                JobRecord(JobClass.QUERY, 1.5, 1.0),
-                JobRecord(JobClass.UPDATE, 2.0, 1.0)]
-        assert equivalent_fcfs_order(reversed(jobs)) == jobs
-
-    def test_empty(self):
-        assert equivalent_fcfs_order([]) == []
-
-    def test_tie_serves_update_first(self):
-        q = JobRecord(JobClass.QUERY, 0.3, 1.0)
-        u = JobRecord(JobClass.UPDATE, 0.3, 1.0)
-        assert equivalent_fcfs_order([q, u]) == [u, q]
+    def test_unbounded_query_and_update_tables_coincide(self):
+        assert decision_table(QueryK(UNBOUNDED)) == decision_table(UpdateK(UNBOUNDED))
