@@ -8,7 +8,6 @@ disciplines, with the direct chain moment kept as a consistency check.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -101,52 +100,12 @@ def conservation_rhs(params: ModelParams) -> float:
             / (1.0 - params.rho))
 
 
-def _alone_finite(own, other) -> bool:
-    """Whether ``own`` is the only finite threshold of the pair."""
-    return not isinstance(own, Unbounded) and isinstance(other, Unbounded)
-
-
-def _solve_threshold_chain(params: ModelParams, policy,
-                           truncation: "int | None") -> ctmc.CtmcSolution:
-    """Stationary solve; without an explicit truncation, each side grows on
-    its own until the tail mass is below ``ctmc.TAIL_TOLERANCE``."""
-    stability_guard(params)
-    if truncation is not None:
-        spec = ctmc.CtmcSpec(params, policy, truncation, truncation)
-        return ctmc.solve_stationary(ctmc.build_ctmc(spec))
-    m, n = thresholds(policy)
-    # a queue whose threshold alone is finite is the prioritized, short one
-    # and starts at twice its threshold region; every other queue starts at a
-    # length that grows with the load
-    low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
-    c_q = max(16, 2 * (n + 1)) if _alone_finite(n, m) else low
-    c_u = max(16, 2 * (m + 1)) if _alone_finite(m, n) else low
-    while True:
-        spec = ctmc.CtmcSpec(params, policy, c_q, c_u)
-        solution = ctmc.solve_stationary(ctmc.build_ctmc(spec))
-        if solution.tail_mass < ctmc.TAIL_TOLERANCE:
-            return solution
-        # the union is at most the sum of the bands, so one side always grows
-        half = ctmc.TAIL_TOLERANCE / 2
-        if solution.tail_mass_q >= half:
-            c_q *= 2
-        if solution.tail_mass_u >= half:
-            c_u *= 2
-        if max(c_q, c_u) > ctmc.MAX_TRUNCATION or c_q * c_u > ctmc.MAX_STATES:
-            raise ctmc.NoConvergence(
-                f"tail mass {solution.tail_mass:g} still above "
-                f"{ctmc.TAIL_TOLERANCE:g} at truncation {spec.c_q} x {spec.c_u}; "
-                f"{c_q} x {c_u} would pass the cap of {ctmc.MAX_TRUNCATION} "
-                f"per side or {ctmc.MAX_STATES} states")
-
-
-def _chain_metrics(label: str, params: ModelParams, policy,
-                   truncation: "int | None") -> ClosedFormResult:
-    solution = _solve_threshold_chain(params, policy, truncation)
+def _chain_metrics(label: str, params: ModelParams, policy) -> ClosedFormResult:
+    solution = ctmc.solve(params, policy)
     nq, nu = ctmc.expected_queue_lengths(solution)
     # the conservation law derives E[N_q] when only the update queue has a
     # finite threshold (Update-k), and E[N_u] otherwise
-    if _alone_finite(*thresholds(policy)):
+    if ctmc.alone_finite(*thresholds(policy)):
         direct, nq = nq, params.mu_q * (conservation_rhs(params) - nu / params.mu_u)
         gap = abs(direct - nq)
     else:
@@ -163,16 +122,14 @@ def _chain_metrics(label: str, params: ModelParams, policy,
         n_states=len(solution.rates.states))
 
 
-def query_k_metrics(params: ModelParams, k: "int | Unbounded",
-                    truncation: "int | None" = None) -> ClosedFormResult:
-    return _chain_metrics("query-k", params, QueryK(k), truncation)
+def query_k_metrics(params: ModelParams, k: "int | Unbounded") -> ClosedFormResult:
+    return _chain_metrics("query-k", params, QueryK(k))
 
 
-def update_k_metrics(params: ModelParams, k: "int | Unbounded",
-                     truncation: "int | None" = None) -> ClosedFormResult:
-    return _chain_metrics("update-k", params, UpdateK(k), truncation)
+def update_k_metrics(params: ModelParams, k: "int | Unbounded") -> ClosedFormResult:
+    return _chain_metrics("update-k", params, UpdateK(k))
 
 
-def joint_mn_metrics(params: ModelParams, m: "int | Unbounded", n: "int | Unbounded",
-                     truncation: "int | None" = None) -> ClosedFormResult:
-    return _chain_metrics("joint-mn", params, JointMN(m, n), truncation)
+def joint_mn_metrics(params: ModelParams, m: "int | Unbounded",
+                     n: "int | Unbounded") -> ClosedFormResult:
+    return _chain_metrics("joint-mn", params, JointMN(m, n))

@@ -13,17 +13,8 @@ import sys
 from typing import List, Optional
 
 from . import analytic, ctmc, experiment, svgplot
-from .config import ParseError, ValidationError, parse_config, parse_threshold
-from .model import (
-    Fcfs,
-    JointMN,
-    NonFiniteRate,
-    NonPositiveRate,
-    QueryK,
-    UpdateK,
-    Unstable,
-    validate_params,
-)
+from .config import ParseError, ValidationError, build_policy, parse_config, parse_threshold
+from .model import NonFiniteRate, NonPositiveRate, Unstable, validate_params
 from .simulator import SimConfig
 
 EXIT_OK = 0
@@ -54,22 +45,9 @@ def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _build_policy(args):
-    if args.policy == "fcfs":
-        return Fcfs()
     if args.policy in ("query-1", "update-1"):
-        cls = QueryK if args.policy == "query-1" else UpdateK
-        return cls(1)
-    if args.policy == "query-k":
-        if args.k is None:
-            raise ValidationError("--policy query-k needs --k")
-        return QueryK(args.k)
-    if args.policy == "update-k":
-        if args.k is None:
-            raise ValidationError("--policy update-k needs --k")
-        return UpdateK(args.k)
-    if args.m is None or args.n is None:
-        raise ValidationError("--policy joint-mn needs --m and --n")
-    return JointMN(args.m, args.n)
+        return build_policy(args.policy.replace("1", "k"), k=1)
+    return build_policy(args.policy, args.k, args.m, args.n)
 
 
 def _resolve_seed(flag_seed: Optional[int], fallback: int) -> int:
@@ -120,7 +98,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_solve(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
-    result = experiment.ctmc_for(policy, params, args.trunc)
+    result = experiment.ctmc_for(policy, params)
     _print_result(result)
     if args.out:
         experiment.emit_csv(experiment.result_rows(policy, params, "ctmc", result), args.out)
@@ -178,7 +156,7 @@ def _cmd_compare(args) -> int:
     if "closed_form" in engines:
         results["analytic"] = experiment.closed_form_for(policy, params)
     if "ctmc" in engines:
-        results["ctmc"] = experiment.ctmc_for(policy, params, args.trunc)
+        results["ctmc"] = experiment.ctmc_for(policy, params)
     print(f"{'metric':<16}{'sim mean':>12}{'ci':>10}", end="")
     for source in results:
         print(f"{source:>12}{'agree':>8}", end="")
@@ -230,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                                      "and Joint-(m, n)")
     _add_rate_flags(p)
     _add_policy_flags(p, ("query-k", "update-k", "joint-mn"))
-    p.add_argument("--trunc", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_solve)
 
@@ -251,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(p)
     _add_policy_flags(p, ("fcfs", "query-k", "update-k", "joint-mn"))
     _add_sim_flags(p)
-    p.add_argument("--trunc", type=int, default=None)
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("plot", help="CSV -> static SVG line chart")

@@ -146,8 +146,6 @@ def parse_threshold(text: str):
 
 
 def _get_threshold(path, section, key):
-    if key not in section:
-        raise ValidationError(f"{path}: policy needs key {key!r}")
     value, line_no = section[key]
     try:
         return parse_threshold(value)
@@ -156,22 +154,29 @@ def _get_threshold(path, section, key):
                          f"{key} = {value!r} is not an integer or 'inf'") from None
 
 
+def build_policy(kind: str, k=None, m=None, n=None):
+    """The policy of a type name; k, m and n are the thresholds it takes."""
+    if kind == "fcfs":
+        return Fcfs()
+    if kind in ("query-k", "update-k"):
+        if k is None:
+            raise ValidationError(f"policy {kind} needs k")
+        return (QueryK if kind == "query-k" else UpdateK)(k)
+    if kind == "joint-mn":
+        if m is None or n is None:
+            raise ValidationError("policy joint-mn needs m and n")
+        return JointMN(m, n)
+    raise ValidationError(f"unknown policy type {kind!r}")
+
+
 def _build_policy(path: str, name: str, section) -> PolicyRun:
     if "type" not in section:
         raise ValidationError(f"{path}: [policy.{name}] needs a 'type'")
     kind = section["type"][0].strip().lower()
+    values = {key: _get_threshold(path, section, key)
+              for key in ("k", "m", "n") if key in section}
     try:
-        if kind == "fcfs":
-            spec = Fcfs()
-        elif kind == "query-k":
-            spec = QueryK(_get_threshold(path, section, "k"))
-        elif kind == "update-k":
-            spec = UpdateK(_get_threshold(path, section, "k"))
-        elif kind == "joint-mn":
-            spec = JointMN(_get_threshold(path, section, "m"),
-                           _get_threshold(path, section, "n"))
-        else:
-            raise ValidationError(f"{path}: unknown policy type {kind!r}")
+        spec = build_policy(kind, **values)
     except ValueError as exc:
         raise ValidationError(f"{path}: [policy.{name}]: {exc}") from exc
     engine = section.get("engine", ("all", 0))[0].strip().lower()

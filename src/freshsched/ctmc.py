@@ -4,9 +4,12 @@ States are (n_q, n_u, z) with z = 0 empty/idle, z = 1 serving the query queue,
 z = 2 serving the update queue. Transitions are generated through the shared
 policy decision table, so the chain and the simulator cannot drift apart.
 Arrivals that would cross the truncation boundary are dropped (reflection).
+`solve` picks the truncation: each queue's side grows on its own until the
+mass on the boundary bands is below TAIL_TOLERANCE.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -17,13 +20,12 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .model import Fcfs, ModelParams
+from .model import Fcfs, ModelParams, Unbounded, stability_guard
 from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
-                     decision_table)
+                     decision_table, thresholds)
 
 TAIL_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
-MAX_TRUNCATION = 4096
 # A truncation has about c_q * c_u states. The sparse solve peaks at 10 KB per
 # state on a square truncation and at 25 KB on a long thin one, so this cap
 # keeps one chain under about 1.6 GB.
@@ -194,3 +196,38 @@ def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     states = solution.rates.state_array
     pi = solution.probabilities
     return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)
+
+
+def alone_finite(own, other) -> bool:
+    """Whether ``own`` is the only finite threshold of the pair."""
+    return not isinstance(own, Unbounded) and isinstance(other, Unbounded)
+
+
+def solve(params: ModelParams, policy) -> CtmcSolution:
+    """Stationary solve on a truncation that each side grows on its own until
+    the tail mass is below ``TAIL_TOLERANCE``."""
+    stability_guard(params)
+    m, n = thresholds(policy)
+    cap_q, cap_u, _ = decision_table(policy)
+    # a queue whose threshold alone is finite is the prioritized, short one
+    # and starts at twice its threshold region; every other queue starts at a
+    # length that grows with the load, and at least at the table's cap
+    low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
+    c_q = max(16, 2 * (n + 1)) if alone_finite(n, m) else max(low, cap_q)
+    c_u = max(16, 2 * (m + 1)) if alone_finite(m, n) else max(low, cap_u)
+    while True:
+        spec = CtmcSpec(params, policy, c_q, c_u)
+        solution = solve_stationary(build_ctmc(spec))
+        if solution.tail_mass < TAIL_TOLERANCE:
+            return solution
+        # the union is at most the sum of the bands, so one side always grows
+        half = TAIL_TOLERANCE / 2
+        if solution.tail_mass_q >= half:
+            c_q *= 2
+        if solution.tail_mass_u >= half:
+            c_u *= 2
+        if c_q * c_u > MAX_STATES:
+            raise NoConvergence(
+                f"tail mass {solution.tail_mass:g} still above {TAIL_TOLERANCE:g} "
+                f"at truncation {spec.c_q} x {spec.c_u}; {c_q} x {c_u} would pass "
+                f"the cap of {MAX_STATES} states")

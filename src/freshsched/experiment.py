@@ -77,14 +77,13 @@ def closed_form_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
     raise ValueError(f"no closed form for {spec!r}")
 
 
-def ctmc_for(spec, params: ModelParams,
-             truncation: "int | None" = None) -> analytic.ClosedFormResult:
+def ctmc_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
     if isinstance(spec, QueryK):
-        return analytic.query_k_metrics(params, spec.k, truncation)
+        return analytic.query_k_metrics(params, spec.k)
     if isinstance(spec, UpdateK):
-        return analytic.update_k_metrics(params, spec.k, truncation)
+        return analytic.update_k_metrics(params, spec.k)
     if isinstance(spec, JointMN):
-        return analytic.joint_mn_metrics(params, spec.m, spec.n, truncation)
+        return analytic.joint_mn_metrics(params, spec.m, spec.n)
     raise ValueError(f"no chain solver for {spec!r}")
 
 

@@ -81,8 +81,6 @@ class Unbounded:
 
 UNBOUNDED = Unbounded()
 
-Threshold = "int | Unbounded"
-
 
 def _check_threshold(value, name: str) -> None:
     if isinstance(value, Unbounded):
@@ -130,9 +128,6 @@ class JointMN:
         _check_threshold(self.n, "n")
         if isinstance(self.m, Unbounded) and isinstance(self.n, Unbounded):
             raise ValueError("JointMN with both thresholds unbounded never switches")
-
-
-PolicySpec = "Fcfs | QueryK | UpdateK | JointMN"
 
 
 class JobClass(enum.Enum):

@@ -153,7 +153,6 @@ class ReplicationDetail:
     arrived_service: float
     completed_service: float
     residual_work: float
-    tracker: AoiTracker
 
 
 def _system_times(arrivals: List[float], departures: List[float],
@@ -301,7 +300,7 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
             in_service = pos == served and index == head
             residual_work += (completion - horizon) if in_service else remain[index]
     detail = ReplicationDetail(jobs, list(tracker.paoi_samples), busy_time, arrived_service,
-                               completed_service, residual_work, tracker)
+                               completed_service, residual_work)
     return metrics, detail
 
 

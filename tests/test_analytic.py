@@ -182,11 +182,6 @@ class TestThresholdChainMetrics:
         assert c_q < c_u
         assert chain.n_states < 20000
 
-    def test_explicit_truncation_sets_both_sides(self):
-        r = query_k_metrics(params(0.5, 0.1), 3, truncation=48)
-        assert r.truncation == (48, 48)
-        assert r.n_states > 48 * 48
-
     def test_growth_past_state_cap_raises(self, monkeypatch):
         # (0.85, 0.1) starts at 16 x 160 and needs 16 x 320
         monkeypatch.setattr(ctmc, "MAX_STATES", 16 * 160)
@@ -222,3 +217,18 @@ class TestJointChain:
                               ("nq", chain.expected_nq), ("nu", chain.expected_nu)):
             st = stats[metric]
             assert abs(st.mean - value) <= 2 * st.half_width, (metric, st, value)
+
+    @pytest.mark.parametrize("m, n, single, truncation", [
+        (63, 3, query_k_metrics, (64, 65)), (3, 63, update_k_metrics, (65, 64))])
+    def test_large_threshold_starts_at_the_table_cap(self, m, n, single, truncation):
+        # at lambda = 1/3 a queue almost never reaches 63 jobs, so the pair
+        # acts like its small threshold alone; the large threshold's side
+        # starts at the decision table's cap of 65, above the load-based 64
+        p = params(1 / 3, 1 / 3)
+        joint = joint_mn_metrics(p, m, n)
+        alone = single(p, 3)
+        for field in ("expected_response_time", "expected_update_system_time",
+                      "expected_paoi"):
+            assert getattr(joint, field) == pytest.approx(getattr(alone, field),
+                                                          rel=1e-9), field
+        assert joint.truncation == truncation

@@ -209,11 +209,6 @@ class TestCliCommands:
                          "--lambda-q", "0.2"])
         assert code == 1
 
-    def test_solve_truncation_too_small_exits_2(self, capsys):
-        code = cli.main(["solve", "--policy", "query-k", "--k", "5",
-                         "--lambda-u", "0.5", "--lambda-q", "0.1", "--trunc", "4"])
-        assert code == 2
-
     def test_solve_prints_truncation(self, capsys):
         code = cli.main(["solve", "--policy", "query-k", "--k", "1",
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])
@@ -228,6 +223,13 @@ class TestCliCommands:
         assert code == 0
         assert "policy = joint-mn" in out
         assert "truncation = 64 x 64 (" in out
+
+    def test_solve_joint_with_large_threshold(self, capsys):
+        code = cli.main(["solve", "--policy", "joint-mn", "--m", "63", "--n", "3",
+                         "--lambda-u", str(1 / 3), "--lambda-q", str(1 / 3)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "truncation = 64 x 65 (" in out
 
     def test_solve_past_state_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ctmc, "MAX_STATES", 100)

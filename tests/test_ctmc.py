@@ -5,7 +5,6 @@ import scipy.sparse.linalg as spla
 
 from freshsched import ctmc
 from freshsched.ctmc import (
-    MAX_TRUNCATION,
     Z_IDLE,
     Z_QUERY,
     Z_UPDATE,
@@ -84,9 +83,6 @@ class TestCtmcSpec:
     def test_fcfs_rejected(self):
         with pytest.raises(ValueError):
             CtmcSpec(validate_params(0.5, 1, 0.1, 1), Fcfs(), 64, 64)
-
-    def test_max_truncation_is_sane(self):
-        assert MAX_TRUNCATION >= 1024
 
     def test_build_beyond_state_cap_raises(self, monkeypatch):
         monkeypatch.setattr(ctmc, "MAX_STATES", 100)
