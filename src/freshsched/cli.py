@@ -140,8 +140,7 @@ def _cmd_sweep(args) -> int:
     experiment.emit_csv(rows, csv_path)
     print(f"wrote {len(rows)} rows to {csv_path}")
     if spec.svg_path:
-        x_axis = spec.sweep.rate if spec.sweep else "k"
-        svgplot.emit_plot(rows, x_axis, ("response_time", "paoi"), spec.svg_path)
+        svgplot.emit_plot(rows, spec.sweep.rate, ("response_time", "paoi"), spec.svg_path)
         print(f"wrote {spec.svg_path}")
     return EXIT_OK
 

@@ -2,10 +2,13 @@
 
 Unknown sections and keys are rejected (fail-closed), and every parse error
 carries the offending line number. Sections: model, sweep (optional),
-policy.<name> (one per policy), sim, output.
+policy.<name> (one per policy), sim, output. The sweep axis is a rate or a
+threshold (k, m or n); on a threshold axis every policy section leaves that
+threshold out and each point sets it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -34,6 +37,9 @@ class ValidationError(ValueError):
 
 ENGINES = ("closed_form", "ctmc", "simulation", "all")
 SWEEPABLE_RATES = ("lambda_u", "lambda_q", "mu_u", "mu_q")
+THRESHOLD_AXES = ("k", "m", "n")
+_POLICY_THRESHOLDS = {"fcfs": (), "query-k": ("k",), "update-k": ("k",),
+                      "joint-mn": ("m", "n")}
 
 _KNOWN_KEYS = {
     "model": {"lambda_u", "lambda_q", "mu_u", "mu_q"},
@@ -54,7 +60,9 @@ class SweepAxis:
     def points(self) -> List[float]:
         values = []
         value = self.start
-        # half-step slack so stop itself survives float accumulation
+        # repeated float addition can land a hair above stop (from 0.05 in
+        # steps of 0.05 the 17th value is 0.8500000000000002); the slack of a
+        # billionth of a step keeps stop itself on the axis
         while value <= self.stop + self.step * 1e-9:
             values.append(round(value, 12))
             value += self.step
@@ -169,12 +177,23 @@ def build_policy(kind: str, k=None, m=None, n=None):
     raise ValidationError(f"unknown policy type {kind!r}")
 
 
-def _build_policy(path: str, name: str, section) -> PolicyRun:
+def _build_policy(path: str, name: str, section,
+                  sweep: Optional[SweepAxis]) -> PolicyRun:
     if "type" not in section:
         raise ValidationError(f"{path}: [policy.{name}] needs a 'type'")
     kind = section["type"][0].strip().lower()
     values = {key: _get_threshold(path, section, key)
-              for key in ("k", "m", "n") if key in section}
+              for key in THRESHOLD_AXES if key in section}
+    if sweep is not None and sweep.rate in THRESHOLD_AXES:
+        # the axis sets this threshold at every point; build with the first
+        axis = sweep.rate
+        if axis in section:
+            raise ValidationError(f"{path}: [policy.{name}] sets {axis}, "
+                                  f"which the sweep sets at every point")
+        if kind in _POLICY_THRESHOLDS and axis not in _POLICY_THRESHOLDS[kind]:
+            raise ValidationError(f"{path}: [policy.{name}]: policy {kind} "
+                                  f"has no threshold {axis} to sweep")
+        values[axis] = int(sweep.start)
     try:
         spec = build_policy(kind, **values)
     except ValueError as exc:
@@ -202,18 +221,25 @@ def parse_config(path: str) -> ExperimentSpec:
         if "rate" not in sec:
             raise ValidationError(f"{path}: [sweep] needs 'rate'")
         rate = sec["rate"][0].strip()
-        if rate not in SWEEPABLE_RATES:
-            raise ValidationError(f"{path}: sweep rate {rate!r} not one of {SWEEPABLE_RATES}")
+        axes = SWEEPABLE_RATES + THRESHOLD_AXES
+        if rate not in axes:
+            raise ValidationError(f"{path}: sweep rate {rate!r} not one of {axes}")
         sweep = SweepAxis(rate, _get_float(path, sec, "start"),
                           _get_float(path, sec, "stop"), _get_float(path, sec, "step"))
+        if not all(map(math.isfinite, (sweep.start, sweep.stop, sweep.step))):
+            raise ValidationError(f"{path}: [sweep] start, stop and step must be finite")
         if sweep.step <= 0:
             raise ValidationError(f"{path}: sweep step must be > 0")
         if sweep.stop < sweep.start:
             raise ValidationError(f"{path}: sweep stop below start")
-        if sweep.start <= 0:
+        if rate in THRESHOLD_AXES:
+            if not (sweep.start.is_integer() and sweep.step.is_integer() and sweep.start >= 1):
+                raise ValidationError(f"{path}: [sweep] start and step of threshold {rate} "
+                                      f"must be integers, start >= 1")
+        elif sweep.start <= 0:
             raise ValidationError(f"{path}: sweep start must be > 0 (rates are positive)")
 
-    policies = tuple(_build_policy(path, name[len("policy."):], sec)
+    policies = tuple(_build_policy(path, name[len("policy."):], sec, sweep)
                      for name, sec in sections.items() if name.startswith("policy."))
     if not policies:
         raise ValidationError(f"{path}: no [policy.<name>] sections")
@@ -230,6 +256,8 @@ def parse_config(path: str) -> ExperimentSpec:
         raise ValidationError(f"{path}: {exc}") from exc
 
     out = sections.get("output", {})
+    if "svg" in out and sweep is None:
+        raise ValidationError(f"{path}: [output] svg needs a [sweep] axis to plot along")
     return ExperimentSpec(
         lambda_u=rates["lambda_u"], lambda_q=rates["lambda_q"],
         mu_u=rates["mu_u"], mu_q=rates["mu_q"],

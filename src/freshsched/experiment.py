@@ -1,5 +1,6 @@
 """Experiment driver: engine dispatch over sweep points and CSV output.
 
+A sweep point sets a rate or, on a threshold axis, each policy's threshold.
 Every requested (point, policy, engine, metric) combination produces exactly
 one row; failures and inapplicable engines become status markers instead of
 dropped rows, so the row count of a sweep is always predictable.
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import analytic, ctmc
-from .config import ExperimentSpec
+from .config import THRESHOLD_AXES, ExperimentSpec
 from .model import Fcfs, JointMN, ModelParams, QueryK, Unbounded, UpdateK, validate_params
 from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
@@ -158,19 +159,22 @@ def _engine_rows(engine: str, policy, params: ModelParams,
 
 def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
     points = spec.sweep.points() if spec.sweep else [None]
+    axis = spec.sweep.rate if spec.sweep else None
     rows: List[ResultRow] = []
     for value in points:
         rates = {"lambda_u": spec.lambda_u, "lambda_q": spec.lambda_q,
                  "mu_u": spec.mu_u, "mu_q": spec.mu_q}
-        if spec.sweep:
-            rates[spec.sweep.rate] = value
+        if axis in rates:
+            rates[axis] = value
         params = validate_params(rates["lambda_u"], rates["mu_u"],
                                  rates["lambda_q"], rates["mu_q"])
         for run in spec.policies:
-            engines = applicable_engines(run.spec) if run.engine == "all" else [run.engine]
+            policy = (dataclasses.replace(run.spec, **{axis: int(value)})
+                      if axis in THRESHOLD_AXES else run.spec)
+            engines = applicable_engines(policy) if run.engine == "all" else [run.engine]
             point_rows: List[ResultRow] = []
             for engine in engines:
-                point_rows.extend(_engine_rows(engine, run.spec, params, spec.sim))
+                point_rows.extend(_engine_rows(engine, policy, params, spec.sim))
             point_rows.sort(key=lambda r: (METRICS.index(r.metric),
                                            SOURCES.index(r.source)))
             rows.extend(point_rows)

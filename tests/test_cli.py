@@ -1,15 +1,20 @@
+from pathlib import Path
+
 import pytest
 
-from freshsched import cli, ctmc
+from freshsched import cli, ctmc, experiment
 from freshsched.config import (
+    ExperimentSpec,
     ParseError,
+    PolicyRun,
     SweepAxis,
     ValidationError,
     parse_config,
     parse_threshold,
 )
 from freshsched.experiment import CSV_HEADER, ResultRow, emit_csv, read_csv, run_experiment
-from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK
+from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
+from freshsched.simulator import SimConfig
 from freshsched.svgplot import NoData, emit_plot
 
 BASE_CONFIG = """\
@@ -29,10 +34,21 @@ seed = 99
 """
 
 
+SHIPPED_CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def replace_each(text, *pairs):
+    """``text`` with each (old, new) replaced; every old must occur."""
+    for old, new in pairs:
+        assert old in text, old
+        text = text.replace(old, new)
+    return text
 
 
 class TestParseConfig:
@@ -63,6 +79,13 @@ class TestParseConfig:
         with pytest.raises(ValidationError):
             parse_config(write_config(tmp_path, cfg))
 
+    @pytest.mark.parametrize("key, value", [("stop", "inf"), ("step", "nan")])
+    def test_sweep_non_finite_rejected(self, tmp_path, key, value):
+        sweep = {"rate": "lambda_u", "start": "0.1", "stop": "0.5", "step": "0.1", key: value}
+        cfg = BASE_CONFIG + "\n[sweep]\n" + "".join(f"{k} = {v}\n" for k, v in sweep.items())
+        with pytest.raises(ValidationError, match="finite"):
+            parse_config(write_config(tmp_path, cfg))
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = "# leading comment\n" + BASE_CONFIG.replace(
             "mu_u = 1", "mu_u = 1  # inline comment")
@@ -85,6 +108,11 @@ class TestParseConfig:
         assert len(points) == 17
         assert points[0] == pytest.approx(0.05)
         assert points[-1] == pytest.approx(0.85)
+
+    def test_svg_without_sweep_rejected(self, tmp_path):
+        cfg = BASE_CONFIG + "\n[output]\nsvg = out.svg\n"
+        with pytest.raises(ValidationError, match=r"\[output\] svg"):
+            parse_config(write_config(tmp_path, cfg))
 
     def test_parse_threshold(self):
         assert parse_threshold("4") == 4
@@ -133,6 +161,75 @@ class TestRunExperiment:
         rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
         seeds = {r.seed for r in rows if r.source == "sim"}
         assert seeds == {99}
+
+
+THRESHOLD_SWEEP = BASE_CONFIG.replace("type = fcfs", "type = query-k") + (
+    "\n[sweep]\nrate = k\nstart = 1\nstop = 3\nstep = 1\n")
+
+
+class TestThresholdAxis:
+    def test_policies_take_the_first_point(self, tmp_path):
+        spec = parse_config(write_config(tmp_path, THRESHOLD_SWEEP))
+        assert spec.sweep == SweepAxis("k", 1.0, 3.0, 1.0)
+        assert spec.policies[0].spec == QueryK(1)
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("start = 1", "start = 1.5", "[sweep] start and step of threshold k"),
+        ("step = 1", "step = 0.5", "[sweep] start and step of threshold k"),
+        ("start = 1", "start = 0", "[sweep] start and step of threshold k"),
+        ("type = query-k", "type = query-k\nk = 2", "[policy.baseline] sets k"),
+        ("type = query-k", "type = fcfs", "[policy.baseline]: policy fcfs has no threshold k"),
+        ("rate = k", "rate = m", "[policy.baseline]: policy query-k has no threshold m"),
+        ("type = query-k", "type = joint-mn\nm = 2\nn = 2",
+         "[policy.baseline]: policy joint-mn has no threshold k"),
+    ], ids=["fractional-start", "fractional-step", "start-zero", "sets-swept-k",
+            "fcfs-under-k", "query-k-under-m", "joint-mn-under-k"])
+    def test_rejected(self, tmp_path, old, new, message):
+        cfg = replace_each(THRESHOLD_SWEEP, (old, new))
+        with pytest.raises(ValidationError) as exc:
+            parse_config(write_config(tmp_path, cfg))
+        assert message in str(exc.value)
+
+    @pytest.mark.parametrize("cfg, expected", [
+        (THRESHOLD_SWEEP, [QueryK(1), QueryK(2), QueryK(3)]),
+        (BASE_CONFIG + "\n[sweep]\nrate = lambda_u\nstart = 0.2\nstop = 0.4\nstep = 0.2\n",
+         None),
+    ], ids=["threshold", "rate"])
+    def test_each_point_sets_the_threshold(self, tmp_path, monkeypatch, cfg, expected):
+        seen = []
+        monkeypatch.setattr(experiment, "_engine_rows",
+                            lambda engine, policy, params, sim: seen.append(policy) or [])
+        spec = parse_config(write_config(tmp_path, cfg))
+        run_experiment(spec)
+        if expected is None:  # a rate sweep passes the parsed policy object itself
+            assert seen and all(policy is spec.policies[0].spec for policy in seen)
+        else:
+            assert list(dict.fromkeys(seen)) == expected
+
+    def test_threshold_tradeoff_matches_one_run_per_threshold(self, tmp_path):
+        text = replace_each((SHIPPED_CONFIGS / "threshold_tradeoff.cfg").read_text(),
+                            ("stop = 12", "stop = 2"), ("horizon = 20000", "horizon = 200"),
+                            ("replications = 10", "replications = 2"))
+        rows = run_experiment(parse_config(write_config(tmp_path, text)))
+        runs = []
+        for k in (1, 2):
+            runs += [PolicyRun(f"query{k}", QueryK(k)), PolicyRun(f"update{k}", UpdateK(k))]
+        reference = ExperimentSpec(1 / 3, 1 / 3, 1.0, 1.0, tuple(runs),
+                                   SimConfig(200.0, 0.0, 2, 1))
+        assert rows == run_experiment(reference)
+        assert len(rows) == 5 * (3 * 2 + 2 * 2)
+
+    def test_joint_grid_matches_one_run_per_pair(self, tmp_path):
+        text = replace_each((SHIPPED_CONFIGS / "joint_grid.cfg").read_text(),
+                            ("stop = 5", "stop = 3"), ("horizon = 20000", "horizon = 200"),
+                            ("replications = 10", "replications = 2"),
+                            ("[policy.n5]\ntype = joint-mn\nn = 5\n", ""))
+        rows = run_experiment(parse_config(write_config(tmp_path, text)))
+        runs = tuple(PolicyRun(f"joint{m}_{n}", JointMN(m, n))
+                     for m in (1, 3) for n in (1, 3))
+        reference = ExperimentSpec(1 / 3, 1 / 3, 1.0, 1.0, runs, SimConfig(200.0, 0.0, 2, 1))
+        assert rows == run_experiment(reference)
+        assert len(rows) == 5 * 2 * 4
 
 
 class TestCsvRoundTrip:
@@ -259,6 +356,14 @@ class TestCliCommands:
         assert cli.main(["sweep", "--config", cfg]) == 0
         assert out_csv.exists() and out_svg.exists()
         assert read_csv(str(out_csv))
+
+    def test_svg_without_sweep_exits_1_before_running(self, capsys, tmp_path):
+        out_csv = tmp_path / "out.csv"
+        cfg = write_config(tmp_path, BASE_CONFIG + (
+            "\n[policy.joint]\ntype = joint-mn\nm = 3\nn = 3\n"
+            f"\n[output]\ncsv = {out_csv}\nsvg = {tmp_path / 'out.svg'}\n"))
+        assert cli.main(["sweep", "--config", cfg]) == 1
+        assert not out_csv.exists()
 
     def test_sweep_reruns_byte_identical(self, capsys, tmp_path):
         cfg = write_config(tmp_path, BASE_CONFIG)

@@ -1,0 +1,57 @@
+"""Every shipped sweep config runs end to end on a copy cut to two points."""
+import re
+from pathlib import Path
+
+import pytest
+
+from freshsched import cli
+from freshsched.config import parse_config
+from freshsched.experiment import METRICS, read_csv
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.cfg"))
+
+ALL_SOURCES = {"analytic", "ctmc", "sim"}
+# policy types, sources and row count at the first two points of each config
+EXPECTED = {
+    "update_load_sweep": ({"fcfs", "query-k"}, ALL_SOURCES, 5 * 2 * 7),
+    "query_load_sweep": ({"fcfs", "update-k"}, ALL_SOURCES, 5 * 2 * 7),
+    "threshold_tradeoff": ({"query-k", "update-k"}, ALL_SOURCES, 5 * (6 + 4)),
+    "joint_grid": ({"joint-mn"}, {"ctmc", "sim"}, 5 * 2 * 3 * 2),
+}
+
+
+def cut_to_two_points(text, stop):
+    """``text`` with the sweep ending at ``stop``, horizon 200 and 2 replications."""
+    for key, value in (("stop", stop), ("horizon", 200), ("replications", 2)):
+        text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+        assert count == 1, key
+    return text
+
+
+def test_every_shipped_config_is_covered():
+    assert {path.stem for path in CONFIGS} == set(EXPECTED)
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=[path.stem for path in CONFIGS])
+def test_config_writes_csv_and_svg(capsys, monkeypatch, tmp_path, path):
+    axis = parse_config(str(path)).sweep
+    cut = tmp_path / path.name
+    cut.write_text(cut_to_two_points(path.read_text(), axis.start + axis.step))
+    monkeypatch.chdir(tmp_path)  # the configs name their outputs relative to the cwd
+    assert cli.main(["sweep", "--config", str(cut)]) == 0
+
+    spec = parse_config(str(cut))
+    rows = read_csv(spec.csv_path)
+    policies, sources, n_rows = EXPECTED[path.stem]
+    assert {r.policy for r in rows} == policies
+    assert {r.source for r in rows} == sources
+    assert len(rows) == n_rows
+    groups = {}
+    for r in rows:
+        key = (r.lambda_u, r.lambda_q, r.mu_u, r.mu_q, r.policy, r.m, r.n, r.k, r.source)
+        groups.setdefault(key, []).append(r.metric)
+    assert all(sorted(metrics) == sorted(METRICS) for metrics in groups.values())
+    assert len({getattr(r, axis.rate) for r in rows}) == 2
+    assert all(r.status == "ok" or (r.metric == "aoi" and r.source != "sim")
+               for r in rows)
+    assert Path(spec.svg_path).read_text().startswith("<svg")
