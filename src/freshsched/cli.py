@@ -38,15 +38,14 @@ def _add_policy_flags(parser: argparse.ArgumentParser, choices) -> None:
 
 
 def _add_sim_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--horizon", type=float, default=20000.0)
-    parser.add_argument("--warmup", type=float, default=0.0)
-    parser.add_argument("--reps", type=int, default=10)
+    # SimConfig's class attributes are its field defaults
+    parser.add_argument("--horizon", type=float, default=SimConfig.horizon)
+    parser.add_argument("--warmup", type=float, default=SimConfig.warmup)
+    parser.add_argument("--reps", type=int, default=SimConfig.replications)
     parser.add_argument("--seed", type=int, default=None)
 
 
 def _build_policy(args):
-    if args.policy in ("query-1", "update-1"):
-        return build_policy(args.policy.replace("1", "k"), k=1)
     return build_policy(args.policy, args.k, args.m, args.n)
 
 
@@ -65,6 +64,11 @@ def _resolve_seed(flag_seed: Optional[int], fallback: int) -> int:
 
 def _params(args):
     return validate_params(args.lambda_u, args.mu_u, args.lambda_q, args.mu_q)
+
+
+def _sim_config(args) -> SimConfig:
+    return SimConfig(args.horizon, args.warmup, args.reps,
+                     _resolve_seed(args.seed, SimConfig.base_seed))
 
 
 def _print_result(result: analytic.ClosedFormResult) -> None:
@@ -109,7 +113,7 @@ def _cmd_solve(args) -> int:
 def _cmd_simulate(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
-    sim = SimConfig(args.horizon, args.warmup, args.reps, _resolve_seed(args.seed, 12345))
+    sim = _sim_config(args)
     stats = experiment.simulation_stats(policy, params, sim)
     if params.rho >= 1:
         print(f"warning: rho = {params.rho:.4g} >= 1, metrics are transient", file=sys.stderr)
@@ -148,7 +152,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
-    sim = SimConfig(args.horizon, args.warmup, args.reps, _resolve_seed(args.seed, 12345))
+    sim = _sim_config(args)
     stats = experiment.simulation_stats(policy, params, sim)
     engines = experiment.applicable_engines(policy)
     results = {}
@@ -199,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form metrics (FCFS, Query-1, Update-1)")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("fcfs", "query-1", "update-1", "query-k", "update-k"))
+    _add_policy_flags(p, ("fcfs", "query-k", "update-k"))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 

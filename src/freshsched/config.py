@@ -247,10 +247,10 @@ def parse_config(path: str) -> ExperimentSpec:
     sim_sec = sections.get("sim", {})
     try:
         sim = SimConfig(
-            horizon=_get_float(path, sim_sec, "horizon", 20000.0),
-            warmup=_get_float(path, sim_sec, "warmup", 0.0),
-            replications=_get_int(path, sim_sec, "replications", 10),
-            base_seed=_get_int(path, sim_sec, "seed", 12345),
+            horizon=_get_float(path, sim_sec, "horizon", SimConfig.horizon),
+            warmup=_get_float(path, sim_sec, "warmup", SimConfig.warmup),
+            replications=_get_int(path, sim_sec, "replications", SimConfig.replications),
+            base_seed=_get_int(path, sim_sec, "seed", SimConfig.base_seed),
         )
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc

@@ -8,10 +8,11 @@ epochs through the first one past the horizon, and one service requirement
 per arrival, in arrival order. Within a class service is FIFO preempt-resume,
 so each queue is a head index into its class's lists and only the head can be
 part-served. Switching decisions are read from `policy.decision_table`.
+After the loop, `age_metrics` makes one pass over the update lists for the
+age integral and the peak-age samples.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import statistics
 from bisect import bisect_right
@@ -28,14 +29,17 @@ from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, OLDER_HEAD, Z_IDLE,
 
 @dataclass(frozen=True)
 class SimConfig:
-    horizon: float
+    """One simulation setup. The defaults are those of the CLI and of configs."""
+
+    horizon: float = 20000.0
     warmup: float = 0.0
     replications: int = 10
     base_seed: int = 12345
 
     def __post_init__(self):
-        if not (self.horizon > self.warmup >= 0):
-            raise ValueError(f"need horizon > warmup >= 0, got {self.horizon}, {self.warmup}")
+        if not (math.isfinite(self.horizon) and self.horizon > self.warmup >= 0):
+            raise ValueError(f"need a finite horizon > warmup >= 0, "
+                             f"got {self.horizon}, {self.warmup}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -90,62 +94,38 @@ def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> 
     return ((b - g) ** 2 - (a - g) ** 2) / 2.0 if b > a else 0.0
 
 
-class AoiTracker:
-    """Age process bookkeeping: integral of the age over the measurement window
-    and one peak-age sample per delivered update.
+def age_metrics(generations: Sequence[float], departures: Sequence[float],
+                warmup: float, horizon: float) -> Tuple[float, List[float]]:
+    """Integral of the age over (warmup, horizon] and one peak-age sample per
+    update delivered in that window.
 
-    The age starts at 0 with a phantom previous update arrival at t=0, so the
-    first peak sample spans from time 0. Peak samples are stored as
-    (inter-arrival) + (system time) from the raw timestamps, which is the
-    defining decomposition of a peak.
+    The update generated at ``generations[i]`` is delivered at
+    ``departures[i]``, in departure order; ``generations`` may run past the
+    last departure. The age starts at 0 at t = 0, as if an update generated
+    then were delivered, so the first peak spans from time 0. Each peak is
+    (inter-arrival) + (system time) from the raw timestamps, the defining
+    decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012).
     """
-
-    def __init__(self, warmup: float = 0.0, horizon: float = math.inf):
-        self.freshest_delivered_generation = 0.0
-        self.previous_update_arrival = 0.0
-        self.last_event_time = 0.0
-        self.age_integral = 0.0
-        self.paoi_samples: List[float] = []
-        self._warmup = warmup
-        self._horizon = horizon
-
-    def record_update_departures(self, generations: Sequence[float],
-                                 departures: Sequence[float]) -> None:
-        """Deliver the updates generated at ``generations[i]`` at
-        ``departures[i]``, in departure order."""
-        warmup, horizon = self._warmup, self._horizon
-        g = self.freshest_delivered_generation
-        previous = self.previous_update_arrival
-        last = self.last_event_time
-        integral = self.age_integral
-        samples = self.paoi_samples
-        for generation, now in zip(generations, departures):
-            if generation > now:
-                raise ValueError("generation_time after departure time")
-            if generation < g:
-                raise OutOfOrderDeparture(
-                    f"update generated at {generation} delivered after one from {g}")
-            integral += _age_area(g, last, now, warmup, horizon)
-            if warmup < now <= horizon:
-                # inter-arrival plus system time
-                samples.append((generation - previous) + (now - generation))
-            previous = g = generation
-            last = now
-        self.freshest_delivered_generation = g
-        self.previous_update_arrival = previous
-        self.last_event_time = last
-        self.age_integral = integral
-
-    def finalize(self, horizon: float) -> None:
-        self.age_integral += _age_area(self.freshest_delivered_generation,
-                                       self.last_event_time, horizon,
-                                       self._warmup, self._horizon)
-        self.last_event_time = horizon
+    g = last = integral = 0.0  # freshest delivered generation, its delivery
+    samples: List[float] = []
+    for generation, now in zip(generations, departures):
+        if generation > now:
+            raise ValueError("generation_time after departure time")
+        if generation < g:
+            raise OutOfOrderDeparture(
+                f"update generated at {generation} delivered after one from {g}")
+        integral += _age_area(g, last, now, warmup, horizon)
+        if warmup < now <= horizon:
+            samples.append((generation - g) + (now - generation))
+        g, last = generation, now
+    integral += _age_area(g, last, horizon, warmup, horizon)
+    return integral, samples
 
 
 @dataclass
 class ReplicationDetail:
-    """Extra per-run data for invariant checks (not part of the metrics)."""
+    """Extra per-run data for invariant checks (not part of the metrics).
+    ``jobs`` are the completed queries, then updates, each in arrival order."""
 
     jobs: List[JobRecord]
     paoi_samples: List[float]
@@ -262,15 +242,13 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
 
     resp_n, resp_sum = _system_times(arrive_q, depart_q, warmup)
     completed_updates, usys_sum = _system_times(arrive_u, depart_u, warmup)
-    tracker = AoiTracker(warmup, horizon)
-    tracker.record_update_departures(arrive_u, depart_u)
-    tracker.finalize(horizon)
+    age_integral, paoi_samples = age_metrics(arrive_u, depart_u, warmup, horizon)
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(
         mean_response_time=resp_sum / resp_n if resp_n else None,
-        mean_paoi=(statistics.fmean(tracker.paoi_samples) if tracker.paoi_samples else None),
-        mean_aoi=tracker.age_integral / duration,
+        mean_paoi=statistics.fmean(paoi_samples) if paoi_samples else None,
+        mean_aoi=age_integral / duration,
         mean_nq=nq_integral / duration,
         mean_nu=nu_integral / duration,
         mean_update_system_time=usys_sum / completed_updates if completed_updates else None,
@@ -281,25 +259,17 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
-    # the sums below run in event order, as a per-event loop would add them
-    jobs = sorted([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q)]
-                  + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u)],
-                  key=lambda job: job.completion_time)
-    completed_service = 0.0
-    for job in jobs:
-        completed_service += job.service_requirement
-    arrived_service = 0.0
-    # simultaneous arrivals: the update first
-    for _, work in heapq.merge(zip(arrive_u, work_u), zip(arrive_q, work_q),
-                               key=lambda pair: pair[0]):
-        arrived_service += work
+    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q)]
+            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u)])
+    completed_service = sum(job.service_requirement for job in jobs)
+    arrived_service = sum(work_q) + sum(work_u)
     residual_work = 0.0
     for served, head, n, remain in ((Z_QUERY, h_q, n_q, remain_q),
                                     (Z_UPDATE, h_u, n_u, remain_u)):
         for index in range(head, head + n):
             in_service = pos == served and index == head
             residual_work += (completion - horizon) if in_service else remain[index]
-    detail = ReplicationDetail(jobs, list(tracker.paoi_samples), busy_time, arrived_service,
+    detail = ReplicationDetail(jobs, paoi_samples, busy_time, arrived_service,
                                completed_service, residual_work)
     return metrics, detail
 

@@ -23,10 +23,12 @@ class NoData(ValueError):
     """The metric/axis filter selected no plottable rows."""
 
 
-def _series_label(row: ResultRow) -> str:
+def _series_label(row: ResultRow, x_axis: str) -> str:
+    """The row's policy, thresholds, metric and source; a threshold on the x
+    axis is left out, so the points along it form one series."""
     label = row.policy
     extras = [f"{field}={getattr(row, field)}" for field in ("k", "m", "n")
-              if getattr(row, field) is not None]
+              if field != x_axis and getattr(row, field) is not None]
     if extras:
         label += "(" + ",".join(extras) + ")"
     return f"{label} {row.metric} [{row.source}]"
@@ -61,7 +63,7 @@ def emit_plot(rows: Sequence[ResultRow], x_axis: str, metrics: Sequence[str],
         x = getattr(row, x_axis)
         if x is None or x == "inf":
             continue
-        series.setdefault(_series_label(row), []).append(
+        series.setdefault(_series_label(row, x_axis), []).append(
             (float(x), row.mean, row.ci_half_width))
     if not series:
         raise NoData(f"no rows with metric in {tuple(metrics)} and a {x_axis} value")

@@ -86,6 +86,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="finite"):
             parse_config(write_config(tmp_path, cfg))
 
+    def test_non_finite_horizon_rejected(self, tmp_path):
+        cfg = BASE_CONFIG.replace("horizon = 500", "horizon = inf")
+        with pytest.raises(ValidationError, match="finite horizon"):
+            parse_config(write_config(tmp_path, cfg))
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = "# leading comment\n" + BASE_CONFIG.replace(
             "mu_u = 1", "mu_u = 1  # inline comment")
@@ -296,6 +301,16 @@ class TestCliCommands:
         assert "E[T_q] = 2.5" in out
         assert "E[A] = 4.5" in out
 
+    def test_analyze_update_k_at_1_prints_update1_closed_form(self, capsys):
+        code = cli.main(["analyze", "--policy", "update-k", "--k", "1",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # preemptive priority to updates: E[T_u] = 1/(1 - 0.5),
+        # E[T_q] = 1/((1 - 0.5)(1 - 0.6)), E[A] = 1/0.5 + E[T_u]; no chain
+        assert "E[T_q] = 5\nE[T_u] = 2\nE[A] = 4\n" in out
+        assert "truncation" not in out
+
     def test_invalid_rate_exits_1(self, capsys):
         code = cli.main(["analyze", "--policy", "fcfs", "--lambda-u", "-1",
                          "--lambda-q", "0.1"])
@@ -334,6 +349,12 @@ class TestCliCommands:
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])
         assert code == 2
         assert "states" in capsys.readouterr().err
+
+    def test_non_finite_horizon_exits_1(self, capsys):
+        code = cli.main(["simulate", "--policy", "fcfs", "--lambda-u", "0.5",
+                         "--lambda-q", "0.1", "--horizon", "inf"])
+        assert code == 1
+        assert "finite horizon" in capsys.readouterr().err
 
     def test_missing_config_exits_3(self, capsys):
         assert cli.main(["sweep", "--config", "/nonexistent/exp.cfg"]) == 3

@@ -11,12 +11,14 @@ from freshsched.experiment import METRICS, read_csv
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "scripts" / "configs").glob("*.cfg"))
 
 ALL_SOURCES = {"analytic", "ctmc", "sim"}
-# policy types, sources and row count at the first two points of each config
+# policy types, sources, row count and charted curves at the first two points
+# of each config; a curve is one (section, metric, source) of the two charted
+# metrics, and a threshold on the axis does not split it
 EXPECTED = {
-    "update_load_sweep": ({"fcfs", "query-k"}, ALL_SOURCES, 5 * 2 * 7),
-    "query_load_sweep": ({"fcfs", "update-k"}, ALL_SOURCES, 5 * 2 * 7),
-    "threshold_tradeoff": ({"query-k", "update-k"}, ALL_SOURCES, 5 * (6 + 4)),
-    "joint_grid": ({"joint-mn"}, {"ctmc", "sim"}, 5 * 2 * 3 * 2),
+    "update_load_sweep": ({"fcfs", "query-k"}, ALL_SOURCES, 5 * 2 * 7, 2 * 7),
+    "query_load_sweep": ({"fcfs", "update-k"}, ALL_SOURCES, 5 * 2 * 7, 2 * 7),
+    "threshold_tradeoff": ({"query-k", "update-k"}, ALL_SOURCES, 5 * (6 + 4), 2 * 6),
+    "joint_grid": ({"joint-mn"}, {"ctmc", "sim"}, 5 * 2 * 3 * 2, 2 * 3 * 2),
 }
 
 
@@ -42,7 +44,7 @@ def test_config_writes_csv_and_svg(capsys, monkeypatch, tmp_path, path):
 
     spec = parse_config(str(cut))
     rows = read_csv(spec.csv_path)
-    policies, sources, n_rows = EXPECTED[path.stem]
+    policies, sources, n_rows, n_curves = EXPECTED[path.stem]
     assert {r.policy for r in rows} == policies
     assert {r.source for r in rows} == sources
     assert len(rows) == n_rows
@@ -54,4 +56,6 @@ def test_config_writes_csv_and_svg(capsys, monkeypatch, tmp_path, path):
     assert len({getattr(r, axis.rate) for r in rows}) == 2
     assert all(r.status == "ok" or (r.metric == "aoi" and r.source != "sim")
                for r in rows)
-    assert Path(spec.svg_path).read_text().startswith("<svg")
+    svg = Path(spec.svg_path).read_text()
+    assert svg.startswith("<svg")
+    assert svg.count("<polyline") == n_curves

@@ -13,9 +13,9 @@ from freshsched.model import (
     validate_params,
 )
 from freshsched.simulator import (
-    AoiTracker,
     OutOfOrderDeparture,
     SimConfig,
+    age_metrics,
     aggregate,
     exponential_draws,
     littles_law_residual,
@@ -77,60 +77,43 @@ class TestSampleExponential:
 
 
 class TestAoiTracker:
+    """The age bookkeeping of `age_metrics`."""
+
     def test_two_update_hand_trace(self):
         # updates generated at t=1 (done t=2) and t=1.5 (done t=4), run ends t=5
-        tracker = AoiTracker()
-        tracker.record_update_departures([1.0, 1.5], [2.0, 4.0])
-        tracker.finalize(5.0)
+        integral, samples = age_metrics([1.0, 1.5], [2.0, 4.0], 0.0, 5.0)
         # peaks: 2-0 (phantom previous arrival at 0) and (1.5-1)+(4-1.5)=3
-        assert tracker.paoi_samples == [2.0, 3.0]
+        assert samples == [2.0, 3.0]
         # age area: 2 over [0,2], 4 over [2,4] (age restarts at 1), 3 over [4,5]
-        assert tracker.age_integral == pytest.approx(9.0, abs=1e-12)
+        assert integral == pytest.approx(9.0, abs=1e-12)
 
     def test_zero_delay_service_resets_age_to_zero(self):
-        tracker = AoiTracker()
-        tracker.record_update_departures([2.0], [2.0])
-        assert tracker.age_integral == 2.0  # the age t over [0, 2]
-        tracker.finalize(3.0)
+        assert age_metrics([2.0], [2.0], 0.0, 2.0)[0] == 2.0  # the age t over [0, 2]
         # the age restarts at 0 at t = 2
-        assert tracker.age_integral == pytest.approx(2.0 + 0.5)
+        assert age_metrics([2.0], [2.0], 0.0, 3.0)[0] == pytest.approx(2.0 + 0.5)
 
     def test_out_of_order_departure_rejected(self):
-        tracker = AoiTracker()
-        tracker.record_update_departures([2.0], [3.0])
         with pytest.raises(OutOfOrderDeparture):
-            tracker.record_update_departures([1.0], [4.0])
-        with pytest.raises(OutOfOrderDeparture):
-            AoiTracker().record_update_departures([2.0, 1.0], [3.0, 4.0])
+            age_metrics([2.0, 1.0], [3.0, 4.0], 0.0, 5.0)
 
     def test_generation_after_departure_rejected(self):
         with pytest.raises(ValueError):
-            AoiTracker().record_update_departures([3.0], [2.0])
+            age_metrics([3.0], [2.0], 0.0, 5.0)
 
     def test_warmup_clips_integral_and_samples(self):
-        tracker = AoiTracker(warmup=2.0, horizon=10.0)
-        tracker.record_update_departures([1.0], [2.0])  # at the warmup edge: excluded
-        tracker.finalize(10.0)
-        assert tracker.paoi_samples == []
+        # delivered at the warmup edge: excluded
+        integral, samples = age_metrics([1.0], [2.0], 2.0, 10.0)
+        assert samples == []
         # age over (2, 10] with last delivery from t=1: ((10-1)^2 - (2-1)^2)/2
-        assert tracker.age_integral == pytest.approx(40.0)
+        assert integral == pytest.approx(40.0)
 
     def test_age_integral_nondecreasing(self):
-        tracker = AoiTracker()
+        generations, departures = [0.5, 2.0, 3.0], [1.0, 2.5, 6.0]
         last = 0.0
-        for gen, done in ((0.5, 1.0), (2.0, 2.5), (3.0, 6.0)):
-            tracker.record_update_departures([gen], [done])
-            assert tracker.age_integral >= last
-            last = tracker.age_integral
-
-    def test_batches_match_one_call(self):
-        generations, departures = [0.5, 2.0, 3.0, 3.5], [1.0, 2.5, 6.0, 6.5]
-        whole = AoiTracker(warmup=0.7, horizon=6.2)
-        whole.record_update_departures(generations, departures)
-        parts = AoiTracker(warmup=0.7, horizon=6.2)
-        for gen, done in zip(generations, departures):
-            parts.record_update_departures([gen], [done])
-        assert vars(parts) == vars(whole)
+        for i in range(1, len(departures) + 1):
+            integral, _ = age_metrics(generations[:i], departures[:i], 0.0, departures[i - 1])
+            assert integral >= last
+            last = integral
 
 
 class TestSimConfig:
@@ -194,6 +177,24 @@ class TestRunReplication:
             rebuilt.append(inter_arrival + job.system_time)
             previous_arrival = job.arrival_time
         assert rebuilt == detail.paoi_samples  # bitwise, same float operations
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_age_integral_from_interarrival_and_system_times(self, policy):
+        # sample-path identity (Kaul, Yates & Gruteser, INFOCOM 2012): with
+        # every update delivered in arrival order, the age area up to H is
+        # sum(Y_i T_i + Y_i^2 / 2) + (H - g_N)^2 / 2, Y_i the interarrival time
+        # before update i, T_i its system time, g_N the last delivered arrival
+        metrics, detail = run_replication_detailed(self.params, policy, self.config, 0)
+        updates = sorted((j for j in detail.jobs if j.job_class is JobClass.UPDATE),
+                         key=lambda j: j.arrival_time)
+        terms, previous = [], 0.0
+        for job in updates:
+            y = job.arrival_time - previous
+            terms.append(y * job.system_time + y * y / 2)
+            previous = job.arrival_time
+        horizon = self.config.horizon
+        terms.append((horizon - previous) ** 2 / 2)
+        assert math.fsum(terms) == pytest.approx(metrics.mean_aoi * horizon, rel=1e-12)
 
     @pytest.mark.parametrize("policy", POLICIES)
     def test_peak_age_dominates_average_age(self, policy):
