@@ -10,7 +10,6 @@ from .model import (
     ModelParams,
     QueryK,
     ReplicationMetrics,
-    Unbounded,
     UpdateK,
     stability_guard,
     validate_params,
@@ -27,7 +26,6 @@ __all__ = [
     "QueryK",
     "ReplicationMetrics",
     "SimConfig",
-    "Unbounded",
     "UpdateK",
     "aggregate",
     "run_replication",

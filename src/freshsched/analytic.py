@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import ctmc
-from .model import JobClass, JointMN, ModelParams, QueryK, Unbounded, UpdateK, stability_guard
+from .model import UNBOUNDED, JobClass, JointMN, ModelParams, QueryK, UpdateK, stability_guard
 from .policy import thresholds
 
 
@@ -105,7 +105,8 @@ def _chain_metrics(label: str, params: ModelParams, policy) -> ClosedFormResult:
     nq, nu = ctmc.expected_queue_lengths(solution)
     # the conservation law derives E[N_q] when only the update queue has a
     # finite threshold (Update-k), and E[N_u] otherwise
-    if ctmc.alone_finite(*thresholds(policy)):
+    m, n = thresholds(policy)
+    if m != UNBOUNDED == n:
         direct, nq = nq, params.mu_q * (conservation_rhs(params) - nu / params.mu_u)
         gap = abs(direct - nq)
     else:
@@ -122,14 +123,13 @@ def _chain_metrics(label: str, params: ModelParams, policy) -> ClosedFormResult:
         n_states=len(solution.rates.states))
 
 
-def query_k_metrics(params: ModelParams, k: "int | Unbounded") -> ClosedFormResult:
+def query_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
     return _chain_metrics("query-k", params, QueryK(k))
 
 
-def update_k_metrics(params: ModelParams, k: "int | Unbounded") -> ClosedFormResult:
+def update_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
     return _chain_metrics("update-k", params, UpdateK(k))
 
 
-def joint_mn_metrics(params: ModelParams, m: "int | Unbounded",
-                     n: "int | Unbounded") -> ClosedFormResult:
+def joint_mn_metrics(params: ModelParams, m: "int | float", n: "int | float") -> ClosedFormResult:
     return _chain_metrics("joint-mn", params, JointMN(m, n))

@@ -2,7 +2,7 @@
 
 Subcommands: analyze (closed forms), solve (truncated-chain steady state),
 simulate, sweep (config-driven experiments), compare (engine agreement),
-plot (CSV -> SVG). Exit codes: 0 ok, 1 validation/parse, 2 numerical, 3 IO.
+plot (CSV -> SVG). Exit codes: 0 ok, 1 usage/validation/parse, 2 numerical, 3 IO.
 """
 from __future__ import annotations
 
@@ -21,6 +21,15 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, as validation errors do;
+    argparse's default exit code 2 is this program's numerical failure."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
 
 
 def _add_rate_flags(parser: argparse.ArgumentParser) -> None:
@@ -196,7 +205,7 @@ def _cmd_plot(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="freshsched",
         description="Response-time vs. freshness tradeoff for a two-queue single server")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -163,18 +163,22 @@ def _get_threshold(path, section, key):
 
 
 def build_policy(kind: str, k=None, m=None, n=None):
-    """The policy of a type name; k, m and n are the thresholds it takes."""
+    """The policy of a type name; k, m and n are the thresholds it takes, and
+    a threshold it does not take must be None."""
+    if kind not in _POLICY_THRESHOLDS:
+        raise ValidationError(f"unknown policy type {kind!r}")
+    for key, value in (("k", k), ("m", m), ("n", n)):
+        if value is not None and key not in _POLICY_THRESHOLDS[kind]:
+            raise ValidationError(f"policy {kind} takes no threshold {key}")
     if kind == "fcfs":
         return Fcfs()
     if kind in ("query-k", "update-k"):
         if k is None:
             raise ValidationError(f"policy {kind} needs k")
         return (QueryK if kind == "query-k" else UpdateK)(k)
-    if kind == "joint-mn":
-        if m is None or n is None:
-            raise ValidationError("policy joint-mn needs m and n")
-        return JointMN(m, n)
-    raise ValidationError(f"unknown policy type {kind!r}")
+    if m is None or n is None:
+        raise ValidationError("policy joint-mn needs m and n")
+    return JointMN(m, n)
 
 
 def _build_policy(path: str, name: str, section,

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .model import Fcfs, ModelParams, Unbounded, stability_guard
+from .model import UNBOUNDED, Fcfs, ModelParams, stability_guard
 from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
                      decision_table, thresholds)
 
@@ -198,11 +198,6 @@ def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)
 
 
-def alone_finite(own, other) -> bool:
-    """Whether ``own`` is the only finite threshold of the pair."""
-    return not isinstance(own, Unbounded) and isinstance(other, Unbounded)
-
-
 def solve(params: ModelParams, policy) -> CtmcSolution:
     """Stationary solve on a truncation that each side grows on its own until
     the tail mass is below ``TAIL_TOLERANCE``."""
@@ -213,8 +208,8 @@ def solve(params: ModelParams, policy) -> CtmcSolution:
     # and starts at twice its threshold region; every other queue starts at a
     # length that grows with the load, and at least at the table's cap
     low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
-    c_q = max(16, 2 * (n + 1)) if alone_finite(n, m) else max(low, cap_q)
-    c_u = max(16, 2 * (m + 1)) if alone_finite(m, n) else max(low, cap_u)
+    c_q = max(16, 2 * (n + 1)) if n != UNBOUNDED == m else max(low, cap_q)
+    c_u = max(16, 2 * (m + 1)) if m != UNBOUNDED == n else max(low, cap_u)
     while True:
         spec = CtmcSpec(params, policy, c_q, c_u)
         solution = solve_stationary(build_ctmc(spec))

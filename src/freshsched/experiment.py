@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import analytic, ctmc
 from .config import THRESHOLD_AXES, ExperimentSpec
-from .model import Fcfs, JointMN, ModelParams, QueryK, Unbounded, UpdateK, validate_params
+from .model import UNBOUNDED, Fcfs, JointMN, ModelParams, QueryK, UpdateK, validate_params
 from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
 METRICS = ("response_time", "paoi", "aoi", "nq", "nu")
@@ -26,9 +26,9 @@ CSV_HEADER = ("policy,m,n,k,lambda_u,lambda_q,mu_u,mu_q,metric,source,"
 @dataclass(frozen=True)
 class ResultRow:
     policy: str
-    m: "int | str | None"
-    n: "int | str | None"
-    k: "int | str | None"
+    m: "int | float | None"
+    n: "int | float | None"
+    k: "int | float | None"
     lambda_u: float
     lambda_q: float
     mu_u: float
@@ -44,18 +44,14 @@ class ResultRow:
 
 
 def policy_columns(spec) -> tuple:
-    """(name, m, n, k) columns for the CSV; unbounded thresholds render as 'inf'."""
-
-    def cell(value):
-        return "inf" if isinstance(value, Unbounded) else value
-
+    """(name, m, n, k) columns for the CSV."""
     if isinstance(spec, Fcfs):
         return "fcfs", None, None, None
     if isinstance(spec, QueryK):
-        return "query-k", None, None, cell(spec.k)
+        return "query-k", None, None, spec.k
     if isinstance(spec, UpdateK):
-        return "update-k", None, None, cell(spec.k)
-    return "joint-mn", cell(spec.m), cell(spec.n), None
+        return "update-k", None, None, spec.k
+    return "joint-mn", spec.m, spec.n, None
 
 
 def applicable_engines(spec) -> List[str]:
@@ -209,7 +205,7 @@ def read_csv(path: str) -> List[ResultRow]:
     def cell(text):
         if not text:
             return None
-        return text if text == "inf" else int(text)
+        return UNBOUNDED if text == "inf" else int(text)
 
     try:
         with open(path, "r", encoding="utf-8") as handle:

@@ -65,25 +65,13 @@ def stability_guard(params: ModelParams) -> None:
         raise Unstable(params.rho)
 
 
-class Unbounded:
-    """Explicit infinite-threshold marker (never compared numerically)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "inf"
-
-
-UNBOUNDED = Unbounded()
+# the threshold of a queue that never forces a switch; it compares above
+# every count and prints as inf
+UNBOUNDED = math.inf
 
 
 def _check_threshold(value, name: str) -> None:
-    if isinstance(value, Unbounded):
+    if value == UNBOUNDED:
         return
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"threshold {name} must be a positive integer or UNBOUNDED, got {value!r}")
@@ -100,7 +88,7 @@ class Fcfs:
 class QueryK:
     """Switch to queries when their count reaches k (or updates run out), then empty them."""
 
-    k: "int | Unbounded"
+    k: "int | float"
 
     def __post_init__(self):
         _check_threshold(self.k, "k")
@@ -110,7 +98,7 @@ class QueryK:
 class UpdateK:
     """Mirror image of QueryK with the threshold on the update queue."""
 
-    k: "int | Unbounded"
+    k: "int | float"
 
     def __post_init__(self):
         _check_threshold(self.k, "k")
@@ -120,13 +108,13 @@ class UpdateK:
 class JointMN:
     """Threshold m on the update queue and n on the query queue, preempt-resume both ways."""
 
-    m: "int | Unbounded"
-    n: "int | Unbounded"
+    m: "int | float"
+    n: "int | float"
 
     def __post_init__(self):
         _check_threshold(self.m, "m")
         _check_threshold(self.n, "n")
-        if isinstance(self.m, Unbounded) and isinstance(self.n, Unbounded):
+        if self.m == self.n == UNBOUNDED:
             raise ValueError("JointMN with both thresholds unbounded never switches")
 
 

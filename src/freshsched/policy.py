@@ -9,7 +9,7 @@ import enum
 import functools
 from typing import NamedTuple, Tuple
 
-from .model import UNBOUNDED, Fcfs, JointMN, QueryK, Unbounded, UpdateK
+from .model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 
 
 class ServerPosition(enum.Enum):
@@ -67,10 +67,6 @@ def _validate_state(state: SchedulerState) -> None:
         raise InconsistentTrigger(f"idle with jobs present: {state}")
 
 
-def _hit(count: int, threshold) -> bool:
-    return not isinstance(threshold, Unbounded) and count >= threshold
-
-
 def _decide_fcfs(state, trigger, n_q, n_u) -> SchedulerState:
     pos = state.position
     if trigger in (Trigger.ARRIVAL_QUERY, Trigger.ARRIVAL_UPDATE):
@@ -102,8 +98,8 @@ def thresholds(policy) -> tuple:
 
 
 def _decide_joint(m, n, state, trigger, n_q, n_u) -> SchedulerState:
-    u_hit = _hit(n_u, m)
-    q_hit = _hit(n_q, n)
+    u_hit = n_u >= m
+    q_hit = n_q >= n
     if u_hit and q_hit:
         if trigger is Trigger.ARRIVAL_QUERY:
             pos = ServerPosition.SERVING_QUERY
@@ -169,7 +165,7 @@ class DecisionTable(NamedTuple):
 def _cap(threshold) -> int:
     # decide only asks whether a post-event count is 0 or reaches the
     # threshold, and a departure lowers a count by one
-    return 2 if isinstance(threshold, Unbounded) else threshold + 2
+    return 2 if threshold == UNBOUNDED else threshold + 2
 
 
 def _table_entry(policy, state: SchedulerState, trigger: Trigger):

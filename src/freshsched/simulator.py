@@ -42,6 +42,8 @@ class SimConfig:
                              f"got {self.horizon}, {self.warmup}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
 
 
 class OutOfOrderDeparture(RuntimeError):

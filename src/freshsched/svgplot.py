@@ -61,7 +61,7 @@ def emit_plot(rows: Sequence[ResultRow], x_axis: str, metrics: Sequence[str],
         if row.metric not in metrics or row.mean is None:
             continue
         x = getattr(row, x_axis)
-        if x is None or x == "inf":
+        if x is None or x == math.inf:
             continue
         series.setdefault(_series_label(row, x_axis), []).append(
             (float(x), row.mean, row.ci_half_width))

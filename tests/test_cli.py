@@ -91,6 +91,11 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="finite horizon"):
             parse_config(write_config(tmp_path, cfg))
 
+    def test_negative_seed_rejected(self, tmp_path):
+        cfg = BASE_CONFIG.replace("seed = 99", "seed = -1")
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            parse_config(write_config(tmp_path, cfg))
+
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         cfg = "# leading comment\n" + BASE_CONFIG.replace(
             "mu_u = 1", "mu_u = 1  # inline comment")
@@ -101,6 +106,18 @@ class TestParseConfig:
         cfg = BASE_CONFIG + "\n[policy.deep]\ntype = query-k\nk = inf\n"
         spec = parse_config(write_config(tmp_path, cfg))
         assert spec.policies[1].spec == QueryK(UNBOUNDED)
+
+    @pytest.mark.parametrize("kind, keys, key", [
+        ("fcfs", "k = 3", "k"),
+        ("query-k", "k = 2\nm = 5", "m"),
+        ("update-k", "k = 2\nn = inf", "n"),
+        ("joint-mn", "m = 2\nn = 2\nk = 1", "k"),
+    ])
+    def test_threshold_the_type_does_not_take_rejected(self, tmp_path, kind, keys, key):
+        cfg = BASE_CONFIG.replace("type = fcfs", f"type = {kind}\n{keys}")
+        with pytest.raises(ValidationError) as exc:
+            parse_config(write_config(tmp_path, cfg))
+        assert f"[policy.baseline]: policy {kind} takes no threshold {key}" in str(exc.value)
 
     def test_nonpositive_rate_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -253,12 +270,13 @@ class TestCsvRoundTrip:
         assert line.split(",")[0] == "fcfs"
 
     def test_round_trip(self, tmp_path):
-        rows = [ResultRow("query-k", None, None, "inf", 0.5, 0.1, 1.0, 1.0,
+        rows = [ResultRow("query-k", None, None, UNBOUNDED, 0.5, 0.1, 1.0, 1.0,
                           "paoi", "sim", 4.5, 0.25, 10, 20000.0, 7, "ok")]
         path = tmp_path / "rt.csv"
         emit_csv(rows, str(path))
+        assert path.read_text().splitlines()[1].startswith("query-k,,,inf,")
         back = read_csv(str(path))
-        assert back[0].k == "inf"
+        assert back[0].k == UNBOUNDED
         assert back[0].mean == pytest.approx(4.5)
         assert back[0].seed == 7
 
@@ -287,6 +305,18 @@ class TestSvgPlot:
         emit_plot(self.make_rows(1), "lambda_u", ("paoi",), str(path))
         assert "<circle" in path.read_text()
 
+    def test_threshold_axis_skips_unbounded(self, tmp_path):
+        rows = [ResultRow("query-k", None, None, k, 1 / 3, 1 / 3, 1.0, 1.0,
+                          "paoi", "ctmc", 4.0 - 0.1 * i, None, None, None, None, "ok")
+                for i, k in enumerate((1, 2, 3, UNBOUNDED))]
+        path = tmp_path / "k.svg"
+        emit_plot(rows, "k", ("paoi",), str(path))
+        text = path.read_text()
+        # one curve through the three finite thresholds; k = inf has no x
+        assert text.count("<polyline") == 1
+        assert text.count("<circle") == 3
+        assert "inf" not in text
+
     def test_no_matching_rows(self, tmp_path):
         with pytest.raises(NoData):
             emit_plot(self.make_rows(), "lambda_u", ("nq",), str(tmp_path / "x.svg"))
@@ -310,6 +340,46 @@ class TestCliCommands:
         # E[T_q] = 1/((1 - 0.5)(1 - 0.6)), E[A] = 1/0.5 + E[T_u]; no chain
         assert "E[T_q] = 5\nE[T_u] = 2\nE[A] = 4\n" in out
         assert "truncation" not in out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--policy", "query-k", "--k", "abc", "--lambda-u", "0.3",
+         "--lambda-q", "0.3"],
+        ["solve", "--policy", "query-k", "--k", "2", "--lambda-u", "0.3"],
+        [],
+    ], ids=["bad-k", "missing-lambda-q", "missing-command"])
+    def test_usage_error_exits_1(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["solve", "--help"])
+        assert exc.value.code == 0
+        assert "--lambda-u" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, message", [
+        (["analyze", "--policy", "fcfs", "--k", "7"], "policy fcfs takes no threshold k"),
+        (["solve", "--policy", "query-k", "--k", "2", "--m", "5"],
+         "policy query-k takes no threshold m"),
+    ], ids=["fcfs-k", "query-k-m"])
+    def test_threshold_the_policy_does_not_take_exits_1(self, capsys, argv, message):
+        assert cli.main(argv + ["--lambda-u", "0.5", "--lambda-q", "0.1"]) == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("how", ["flag", "env"])
+    def test_negative_seed_exits_1_before_running(self, capsys, tmp_path, monkeypatch, how):
+        cfg = write_config(tmp_path, BASE_CONFIG)
+        out = tmp_path / "out.csv"
+        argv = ["sweep", "--config", cfg, "--out", str(out)]
+        if how == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("FRESHSCHED_SEED", "-1")
+        assert cli.main(argv) == 1
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_rate_exits_1(self, capsys):
         code = cli.main(["analyze", "--policy", "fcfs", "--lambda-u", "-1",

@@ -14,7 +14,6 @@ from freshsched.model import (
     NonFiniteRate,
     NonPositiveRate,
     QueryK,
-    Unbounded,
     UpdateK,
     Unstable,
     stability_guard,
@@ -69,16 +68,19 @@ class TestStabilityGuard:
 
 
 class TestThresholdPolicies:
-    def test_unbounded_is_singleton(self):
-        assert Unbounded() is UNBOUNDED
+    def test_unbounded_is_math_inf(self):
+        assert UNBOUNDED == math.inf
         assert repr(UNBOUNDED) == "inf"
+        assert repr(QueryK(UNBOUNDED)) == "QueryK(k=inf)"
 
     @pytest.mark.parametrize("cls", [QueryK, UpdateK])
     def test_threshold_must_be_positive_int(self, cls):
         cls(1)
         cls(7)
         cls(UNBOUNDED)
-        for bad in (0, -1, 1.5, "3", True):
+        # any float infinity, not only the UNBOUNDED object itself
+        assert cls(float("inf")) == cls(UNBOUNDED)
+        for bad in (0, -1, 1.5, 3.0, "3", "inf", True, math.nan, -math.inf):
             with pytest.raises(ValueError):
                 cls(bad)
 
@@ -86,10 +88,11 @@ class TestThresholdPolicies:
         JointMN(1, 1)
         JointMN(UNBOUNDED, 2)
         JointMN(3, UNBOUNDED)
-        with pytest.raises(ValueError):
-            JointMN(UNBOUNDED, UNBOUNDED)
-        with pytest.raises(ValueError):
-            JointMN(0, 1)
+        JointMN(float("inf"), 2)
+        for m, n in ((UNBOUNDED, UNBOUNDED), (float("inf"), UNBOUNDED), (0, 1),
+                     (3.0, 2), (2, math.nan), (-math.inf, 2)):
+            with pytest.raises(ValueError):
+                JointMN(m, n)
 
     def test_policies_hashable_and_comparable(self):
         assert QueryK(3) == QueryK(3)
