@@ -162,6 +162,9 @@ def _cmd_compare(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     sim = _sim_config(args)
+    if sim.replications < 2:
+        raise ValidationError(f"compare needs --reps >= 2, got {sim.replications}: "
+                              "a confidence interval needs two replications")
     stats = experiment.simulation_stats(policy, params, sim)
     engines = experiment.applicable_engines(policy)
     results = {}
@@ -176,9 +179,9 @@ def _cmd_compare(args) -> int:
     agree_all = True
     for metric in experiment.METRICS:
         st = stats[metric]
-        if st.mean is None:
+        if st.half_width is None:  # fewer than two replications gave the metric
             continue
-        ci = st.half_width or 0.0
+        ci = st.half_width
         print(f"{metric:<16}{st.mean:>12.5g}{ci:>10.3g}", end="")
         for result in results.values():
             value = experiment._result_metric_values(result).get(metric)

@@ -128,17 +128,26 @@ def result_rows(policy, params: ModelParams, source: str,
     return rows
 
 
+def simulate_policies(params: ModelParams, policies: Sequence,
+                      sim: SimConfig) -> List[Dict[str, SummaryStats]]:
+    """Each policy's statistics at one point, replication-major: every policy
+    runs on a replication's jobs before the next replication is drawn, so
+    `simulator.draw_jobs` draws each replication once."""
+    runs: List[list] = [[] for _ in policies]
+    for rep in range(sim.replications):
+        for mine, policy in zip(runs, policies):
+            mine.append(run_replication(params, policy, sim, rep))
+    return [aggregate(mine) for mine in runs]
+
+
 def simulation_stats(policy, params: ModelParams,
                      sim: SimConfig) -> Dict[str, SummaryStats]:
-    runs = [run_replication(params, policy, sim, rep) for rep in range(sim.replications)]
-    return aggregate(runs)
+    return simulate_policies(params, [policy], sim)[0]
 
 
 def _engine_rows(engine: str, policy, params: ModelParams,
                  sim: SimConfig) -> List[ResultRow]:
-    if engine == "simulation":
-        return result_rows(policy, params, "sim",
-                           stats=simulation_stats(policy, params, sim), sim=sim)
+    """The rows of the "closed_form" or "ctmc" engine, which read nothing of ``sim``."""
     source = "analytic" if engine == "closed_form" else "ctmc"
     if engine not in applicable_engines(policy):
         return result_rows(policy, params, source, error="error: unsupported engine")
@@ -154,9 +163,18 @@ def _engine_rows(engine: str, policy, params: ModelParams,
 
 
 def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
+    """Every row of the sweep, point-major, each policy's rows in the order of
+    ``METRICS`` and then ``SOURCES``.
+
+    The (point, policy, engines) triples are planned first. The simulated
+    pairs are grouped by their rates: a rate sweep makes one group per point,
+    and a threshold axis one group for the whole sweep. Each group runs
+    through `simulate_policies`, so its policies share each replication's jobs.
+    """
     points = spec.sweep.points() if spec.sweep else [None]
     axis = spec.sweep.rate if spec.sweep else None
-    rows: List[ResultRow] = []
+    plan = []
+    groups: Dict[ModelParams, List[int]] = {}  # plan indices of the simulated pairs
     for value in points:
         rates = {"lambda_u": spec.lambda_u, "lambda_q": spec.lambda_q,
                  "mu_u": spec.mu_u, "mu_q": spec.mu_q}
@@ -168,12 +186,25 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
             policy = (dataclasses.replace(run.spec, **{axis: int(value)})
                       if axis in THRESHOLD_AXES else run.spec)
             engines = applicable_engines(policy) if run.engine == "all" else [run.engine]
-            point_rows: List[ResultRow] = []
-            for engine in engines:
-                point_rows.extend(_engine_rows(engine, policy, params, spec.sim))
-            point_rows.sort(key=lambda r: (METRICS.index(r.metric),
-                                           SOURCES.index(r.source)))
-            rows.extend(point_rows)
+            if "simulation" in engines:
+                groups.setdefault(params, []).append(len(plan))
+            plan.append((params, policy, engines))
+
+    stats = {}
+    for params, members in groups.items():
+        policies = [plan[index][1] for index in members]
+        stats.update(zip(members, simulate_policies(params, policies, spec.sim)))
+
+    rows: List[ResultRow] = []
+    for index, (params, policy, engines) in enumerate(plan):
+        point_rows: List[ResultRow] = []
+        for engine in engines:
+            point_rows.extend(
+                result_rows(policy, params, "sim", stats=stats[index], sim=spec.sim)
+                if engine == "simulation" else _engine_rows(engine, policy, params, spec.sim))
+        point_rows.sort(key=lambda r: (METRICS.index(r.metric),
+                                       SOURCES.index(r.source)))
+        rows.extend(point_rows)
     return rows
 
 

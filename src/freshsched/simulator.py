@@ -1,15 +1,17 @@
 """Discrete-event engine for the two-class single-server system.
 
 Each replication derives four RNG streams (update/query arrivals, update/query
-service draws) deterministically from (base_seed, rep_index), so rerunning a
-different policy on the same seed replays identical randomness (common random
-numbers). The streams are drawn in blocks before the event loop: arrival
-epochs through the first one past the horizon, and one service requirement
-per arrival, in arrival order. Within a class service is FIFO preempt-resume,
-so each queue is a head index into its class's lists and only the head can be
-part-served. Switching decisions are read from `policy.decision_table`.
-After the loop, `age_metrics` makes one pass over the update lists for the
-age integral and the peak-age samples.
+service draws) deterministically from (base_seed, rep_index), so every policy
+run on the same seed sees identical jobs (common random numbers). `draw_jobs`
+draws them in blocks before the event loop: arrival epochs through the first
+one past the horizon, and one service requirement per arrival, in arrival
+order. It keeps the last replication's jobs, so policies run back to back on
+one replication (as `experiment` runs them) draw its jobs once. The event loop
+copies the service requirements before writing remaining work. Within a class
+service is FIFO preempt-resume, so each queue is a head index into its class's
+lists and only the head can be part-served. Switching decisions are read from
+`policy.decision_table`. After the loop, `age_metrics` makes one pass over the
+update lists for the age integral and the peak-age samples.
 """
 from __future__ import annotations
 
@@ -17,6 +19,7 @@ import math
 import statistics
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
@@ -89,6 +92,26 @@ def _rng_streams(base_seed: int, rep_index: int):
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(4)]
 
 
+@lru_cache(maxsize=1)
+def draw_jobs(params: ModelParams, config: SimConfig,
+              rep_index: int) -> Tuple[Tuple[float, ...], ...]:
+    """Replication ``rep_index``'s jobs: the update and query arrival epochs
+    (each through the first one past the horizon), then the update and query
+    service requirements, one per arrival inside the horizon.
+
+    They depend on the rates, the horizon, the seed and the replication, not
+    on the policy. The one-entry memo serves every policy that runs on this
+    replication right after the first; tuples keep those callers from
+    writing to the shared jobs.
+    """
+    u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
+    arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
+    arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
+    return (tuple(arrive_u), tuple(arrive_q),
+            tuple(exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1)),
+            tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1)))
+
+
 def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> float:
     """Integral of the age t - g over (t0, t1] clipped to (warmup, horizon]."""
     a = warmup if warmup > t0 else t0
@@ -137,7 +160,7 @@ class ReplicationDetail:
     residual_work: float
 
 
-def _system_times(arrivals: List[float], departures: List[float],
+def _system_times(arrivals: Sequence[float], departures: Sequence[float],
                   warmup: float) -> Tuple[int, float]:
     """Count and sum of the system times of the jobs that departed after warmup."""
     n, total = 0, 0.0
@@ -162,14 +185,10 @@ def run_replication_detailed(params: ModelParams, policy, config: SimConfig,
 def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
-    u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
     horizon, warmup = config.horizon, config.warmup
     # each class: arrival epochs (the last one past the horizon), service
     # requirements, remaining work (written on preemption) and departure epochs
-    arrive_u = _arrival_epochs(params.lambda_u, u_arr, horizon)
-    arrive_q = _arrival_epochs(params.lambda_q, q_arr, horizon)
-    work_u = exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1)
-    work_q = exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1)
+    arrive_u, arrive_q, work_u, work_q = draw_jobs(params, config, rep_index)
     remain_u, remain_q = list(work_u), list(work_q)
     depart_u: List[float] = []
     depart_q: List[float] = []

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from freshsched.config import (
 )
 from freshsched.experiment import CSV_HEADER, ResultRow, emit_csv, read_csv, run_experiment
 from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
-from freshsched.simulator import SimConfig
+from freshsched.simulator import SimConfig, draw_jobs
 from freshsched.svgplot import NoData, emit_plot
 
 BASE_CONFIG = """\
@@ -183,6 +186,21 @@ class TestRunExperiment:
         rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
         seeds = {r.seed for r in rows if r.source == "sim"}
         assert seeds == {99}
+
+    @pytest.mark.parametrize("cfg, draws", [
+        (BASE_CONFIG.replace("type = fcfs", "type = query-k")
+         + "\n[policy.u]\ntype = update-k\n"
+         + "\n[sweep]\nrate = k\nstart = 1\nstop = 2\nstep = 1\n", 2),
+        (BASE_CONFIG + "\n[policy.u3]\ntype = update-k\nk = 3\n"
+         + "\n[sweep]\nrate = lambda_u\nstart = 0.2\nstop = 0.6\nstep = 0.2\n", 3 * 2),
+    ], ids=["threshold", "rate"])
+    def test_each_replication_is_drawn_once(self, tmp_path, cfg, draws):
+        # 2 replications: the threshold axis keeps the rates, so all 2 x 2
+        # (point, policy) pairs share them; a rate sweep draws at each of 3 points
+        spec = parse_config(write_config(tmp_path, cfg))
+        draw_jobs.cache_clear()
+        run_experiment(spec)
+        assert draw_jobs.cache_info().misses == draws
 
 
 THRESHOLD_SWEEP = BASE_CONFIG.replace("type = fcfs", "type = query-k") + (
@@ -522,6 +540,21 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "agreement within 2 CI half-widths" in out
+
+    def test_compare_one_replication_exits_1(self, capsys):
+        code = cli.main(["compare", "--policy", "query-k", "--k", "1",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1",
+                         "--horizon", "200", "--reps", "1"])
+        assert code == 1
+        assert "needs two replications" in capsys.readouterr().err
+
+    def test_python_m_freshsched(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "freshsched", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: freshsched")
 
     def test_compare_joint_has_chain_column(self, capsys):
         code = cli.main(["compare", "--policy", "joint-mn", "--m", "2", "--n", "3",

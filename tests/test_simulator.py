@@ -17,6 +17,7 @@ from freshsched.simulator import (
     SimConfig,
     age_metrics,
     aggregate,
+    draw_jobs,
     exponential_draws,
     littles_law_residual,
     run_replication,
@@ -142,6 +143,20 @@ class TestRunReplication:
         a = run_replication(self.params, policy, self.config, 1)
         b = run_replication(self.params, policy, self.config, 1)
         assert a == b
+
+    def test_jobs_are_tuples(self):
+        jobs = draw_jobs(self.params, self.config, 0)
+        assert len(jobs) == 4 and all(isinstance(stream, tuple) for stream in jobs)
+
+    def test_shared_jobs_replay_a_fresh_draw(self):
+        # Query-3 preempts updates first, so a write into the shared jobs
+        # would change what Update-3 then reads from the memo
+        draw_jobs.cache_clear()
+        run_replication(self.params, QueryK(3), self.config, 1)
+        shared = run_replication_detailed(self.params, UpdateK(3), self.config, 1)
+        assert draw_jobs.cache_info()[:2] == (1, 1)  # hits, misses
+        draw_jobs.cache_clear()
+        assert run_replication_detailed(self.params, UpdateK(3), self.config, 1) == shared
 
     def test_common_random_numbers_across_policies(self):
         arrivals = {}
