@@ -1,10 +1,11 @@
 """Closed-form and numerical steady-state results.
 
 FCFS and the k=1 priority policies have exact closed forms. Every thresholded
-policy, Joint-(m, n) with Query-k = (inf, k) and Update-k = (k, inf), is
-solved on the truncated chain: one expected queue length comes from the chain,
-the other from the conservation law for work-conserving non-idling
-disciplines, with the direct chain moment kept as a consistency check.
+policy, Joint-(m, n) with Query-k = (inf, k) and Update-k = (k, inf), goes
+through `chain_metrics`, a matrix-geometric solve of its Markov chain
+(`ctmc.solve`): the phase queue's expected length comes from the chain, the
+level queue's from the conservation law for work-conserving non-idling
+disciplines, with the chain's direct moment kept as a consistency check.
 """
 from __future__ import annotations
 
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import ctmc
-from .model import UNBOUNDED, JobClass, JointMN, ModelParams, QueryK, UpdateK, stability_guard
-from .policy import thresholds
+from .model import (JobClass, JointMN, ModelParams, QueryK, UpdateK,
+                    conservation_rhs,  # noqa: F401  (re-exported)
+                    stability_guard)
+from .policy import policy_columns
 
 
 @dataclass(frozen=True)
@@ -28,7 +31,8 @@ class ClosedFormResult:
     tail_mass: "float | None" = None
     residual: "float | None" = None
     conservation_gap: "float | None" = None
-    truncation: "Tuple[int, int] | None" = None  # final (c_q, c_u) of the chain
+    # the chain's (c_q, inf) or (inf, c_u) and its boundary's unknowns
+    truncation: "Tuple[float, float] | None" = None
     n_states: "int | None" = None
 
 
@@ -92,44 +96,27 @@ def update1_metrics(params: ModelParams) -> ClosedFormResult:
         expected_nq=params.lambda_q * t_q, expected_nu=params.lambda_u * t_u)
 
 
-def conservation_rhs(params: ModelParams) -> float:
-    """Policy-invariant value of E[N_q]/mu_q + E[N_u]/mu_u for all
-    work-conserving non-idling disciplines here."""
-    stability_guard(params)
-    return ((params.lambda_q / params.mu_q ** 2 + params.lambda_u / params.mu_u ** 2)
-            / (1.0 - params.rho))
-
-
-def _chain_metrics(label: str, params: ModelParams, policy) -> ClosedFormResult:
+def chain_metrics(params: ModelParams, policy) -> ClosedFormResult:
+    """A thresholded policy's metrics from its Markov chain (see `ctmc.solve`)."""
     solution = ctmc.solve(params, policy)
-    nq, nu = ctmc.expected_queue_lengths(solution)
-    # the conservation law derives E[N_q] when only the update queue has a
-    # finite threshold (Update-k), and E[N_u] otherwise
-    m, n = thresholds(policy)
-    if m != UNBOUNDED == n:
-        direct, nq = nq, params.mu_q * (conservation_rhs(params) - nu / params.mu_u)
-        gap = abs(direct - nq)
-    else:
-        direct, nu = nu, params.mu_u * (conservation_rhs(params) - nq / params.mu_q)
-        gap = abs(direct - nu)
-    t_q = nq / params.lambda_q
-    t_u = nu / params.lambda_u
+    t_q = solution.expected_nq / params.lambda_q
+    t_u = solution.expected_nu / params.lambda_u
     return ClosedFormResult(
-        label, params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=nq, expected_nu=nu,
+        policy_columns(policy)[0], params, t_q, t_u,
+        paoi_from_update_system_time(params, t_u),
+        expected_nq=solution.expected_nq, expected_nu=solution.expected_nu,
         tail_mass=solution.tail_mass, residual=solution.residual,
-        conservation_gap=gap,
-        truncation=(solution.rates.spec.c_q, solution.rates.spec.c_u),
-        n_states=len(solution.rates.states))
+        conservation_gap=solution.conservation_gap,
+        truncation=solution.truncation, n_states=solution.n_states)
 
 
 def query_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
-    return _chain_metrics("query-k", params, QueryK(k))
+    return chain_metrics(params, QueryK(k))
 
 
 def update_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
-    return _chain_metrics("update-k", params, UpdateK(k))
+    return chain_metrics(params, UpdateK(k))
 
 
 def joint_mn_metrics(params: ModelParams, m: "int | float", n: "int | float") -> ClosedFormResult:
-    return _chain_metrics("joint-mn", params, JointMN(m, n))
+    return chain_metrics(params, JointMN(m, n))

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: analyze (closed forms), solve (truncated-chain steady state),
+Subcommands: analyze (closed forms), solve (Markov-chain steady state),
 simulate, sweep (config-driven experiments), compare (engine agreement),
 plot (CSV -> SVG). Exit codes: 0 ok, 1 usage/validation/parse, 2 numerical, 3 IO.
 """
@@ -93,7 +93,7 @@ def _print_result(result: analytic.ClosedFormResult) -> None:
         print(f"balance residual = {result.residual:.3g}")
     if result.truncation is not None:
         c_q, c_u = result.truncation
-        print(f"truncation = {c_q} x {c_u} ({result.n_states} states)")
+        print(f"truncation = {c_q} x {c_u} ({result.n_states} boundary states)")
 
 
 def _cmd_analyze(args) -> int:
@@ -111,7 +111,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_solve(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
-    result = experiment.ctmc_for(policy, params)
+    result = analytic.chain_metrics(params, policy)
     _print_result(result)
     if args.out:
         experiment.emit_csv(experiment.result_rows(policy, params, "ctmc", result), args.out)
@@ -171,7 +171,7 @@ def _cmd_compare(args) -> int:
     if "closed_form" in engines:
         results["analytic"] = experiment.closed_form_for(policy, params)
     if "ctmc" in engines:
-        results["ctmc"] = experiment.ctmc_for(policy, params)
+        results["ctmc"] = analytic.chain_metrics(params, policy)
     print(f"{'metric':<16}{'sim mean':>12}{'ci':>10}", end="")
     for source in results:
         print(f"{source:>12}{'agree':>8}", end="")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("solve", help="truncated-chain steady state for Query-k, Update-k "
+    p = sub.add_parser("solve", help="Markov-chain steady state for Query-k, Update-k "
                                      "and Joint-(m, n)")
     _add_rate_flags(p)
     _add_policy_flags(p, ("query-k", "update-k", "joint-mn"))

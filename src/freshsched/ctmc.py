@@ -1,15 +1,26 @@
-"""Truncated continuous-time Markov chain for the thresholded policies.
+"""Markov chains of the thresholded policies.
 
 States are (n_q, n_u, z) with z = 0 empty/idle, z = 1 serving the query queue,
 z = 2 serving the update queue. Transitions are generated through the shared
-policy decision table, so the chain and the simulator cannot drift apart.
-Arrivals that would cross the truncation boundary are dropped (reflection).
-`solve` picks the truncation: each queue's side grows on its own until the
-mass on the boundary bands is below TAIL_TOLERANCE.
+policy decision table, so the chains and the simulator cannot drift apart.
+
+`solve` treats the chain as a quasi-birth-death (QBD) process. The level is
+n_u, and the phase is (n_q, z) with n_q truncated at c jobs, where a query
+arrival is lost. When only the update threshold is finite, the classes are
+swapped first, so a queue whose threshold alone is finite, the short one, is
+always the phase. From the decision table's cap `cap_u` on, the transitions
+do not depend on the level, so pi_{l+1} = pi_l R for l >= cap_u (Neuts,
+Matrix-Geometric Solutions, 1981). R comes from G by logarithmic reduction
+(Latouche & Ramaswami, J. Appl. Prob. 30, 1993), and levels 0..cap_u are one
+sparse solve. The phase truncation doubles until the mass on its band is
+below TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE.
+
+`build_ctmc` and `solve_stationary` solve the chain truncated on both sides
+instead, with arrivals that would cross the truncation dropped. They are the
+reference the tests check `solve` against.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,17 +30,27 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+# after scipy.sparse: imported first, scipy.linalg adds about 17 ms to start-up
+import scipy.linalg as la
 
-from .model import UNBOUNDED, Fcfs, ModelParams, stability_guard
+from .model import (UNBOUNDED, Fcfs, JointMN, ModelParams, conservation_rhs,
+                    stability_guard)
 from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
                      decision_table, thresholds)
 
 TAIL_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
-# A truncation has about c_q * c_u states. The sparse solve peaks at 10 KB per
-# state on a square truncation and at 25 KB on a long thin one, so this cap
-# keeps one chain under about 1.6 GB.
+# relative gap between the direct and the conservation-law moment of the level
+GAP_TOLERANCE = 1e-9
+# The caps keep one solve under about 1.6 GB. The reference chain's sparse
+# solve peaks at 10 KB per state on a square truncation and at 25 KB on a long
+# thin one; the QBD's generator and boundary solve at 1-2 KB per state. The
+# QBD's dense phase blocks peak at about 110 bytes per entry (455 MB at 2049
+# phases a level).
 MAX_STATES = 2 ** 16
+MAX_PHASES = 3600
+# logarithmic reduction covers 2^k levels in k steps
+MAX_REDUCTIONS = 64
 
 
 class TruncationTooSmall(ValueError):
@@ -121,11 +142,8 @@ class CtmcSolution:
     rates: CtmcRates
     probabilities: np.ndarray
     residual: float
+    # mass on the boundary bands n_q >= c_q - 1 and n_u >= c_u - 1
     tail_mass: float
-    # mass on each side's boundary band (n_q >= c_q - 1, n_u >= c_u - 1);
-    # tail_mass is the mass of their union
-    tail_mass_q: float = 0.0
-    tail_mass_u: float = 0.0
 
     def probability(self, state: Tuple[int, int, int]) -> float:
         idx = self.rates.index.get(state)
@@ -185,10 +203,9 @@ def solve_stationary(rates: CtmcRates) -> CtmcSolution:
     spec = rates.spec
     if spec is None:
         return CtmcSolution(rates, pi, residual, 0.0)
-    band_q = rates.state_array[:, 0] >= spec.c_q - 1
-    band_u = rates.state_array[:, 1] >= spec.c_u - 1
-    return CtmcSolution(rates, pi, residual, float(pi[band_q | band_u].sum()),
-                        float(pi[band_q].sum()), float(pi[band_u].sum()))
+    band = ((rates.state_array[:, 0] >= spec.c_q - 1)
+            | (rates.state_array[:, 1] >= spec.c_u - 1))
+    return CtmcSolution(rates, pi, residual, float(pi[band].sum()))
 
 
 def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
@@ -198,31 +215,171 @@ def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)
 
 
-def solve(params: ModelParams, policy) -> CtmcSolution:
-    """Stationary solve on a truncation that each side grows on its own until
-    the tail mass is below ``TAIL_TOLERANCE``."""
+@dataclass(frozen=True)
+class QbdSolution:
+    """Stationary moments of a thresholded policy's chain, from `solve`.
+
+    The level's queue length comes from the conservation law, and
+    ``conservation_gap`` is its distance from the chain's direct moment.
+    ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
+    class swap. ``n_states`` counts the unknowns of the boundary solve.
+    """
+
+    expected_nq: float
+    expected_nu: float
+    conservation_gap: float
+    tail_mass: float
+    residual: float
+    truncation: Tuple[float, float]
+    n_states: int
+
+
+def _next_positions(table) -> np.ndarray:
+    """The decision table as an int array indexed [z, trigger, n_q, n_u]."""
+    return np.array([[[[-1 if v is None else v for v in row] for row in rule]
+                      for rule in rules] for rules in table.next_position])
+
+
+def _level_start(level, c: int):
+    # level 0 holds (0, idle) and (i, query) for i = 1..c; every higher level
+    # holds (i, query) for i = 1..c, then (i, update) for i = 0..c
+    return np.where(level == 0, 0, c + 1 + (level - 1) * (2 * c + 1))
+
+
+def _generator(params: ModelParams, table, nxt: np.ndarray, c: int,
+               levels: int) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """Generator of levels 0..levels-1 with n_q truncated at c, and the n_q
+    and level of every state. An update arrival from the top level leaves the
+    matrix but still counts in the diagonal."""
+    phase_i = np.r_[1:c + 1, 0:c + 1]
+    phase_z = np.r_[np.full(c, Z_QUERY), np.full(c + 1, Z_UPDATE)]
+    i = np.r_[0:c + 1, np.tile(phase_i, levels - 1)]
+    z = np.r_[Z_IDLE, np.full(c, Z_QUERY), np.tile(phase_z, levels - 1)]
+    j = np.r_[np.zeros(c + 1, dtype=np.int64), np.repeat(np.arange(1, levels), 2 * c + 1)]
+    ci, cj = np.minimum(i, table.cap_q), np.minimum(j, table.cap_u)
+    n = len(i)
+    src, dst, rate = [np.arange(n)], [np.arange(n)], []
+    out = np.zeros(n)
+    for event, r, di, dj, fires in ((ARRIVE_Q, params.lambda_q, 1, 0, True),
+                                    (ARRIVE_U, params.lambda_u, 0, 1, True),
+                                    (DEPART_Q, params.mu_q, -1, 0, z == Z_QUERY),
+                                    (DEPART_U, params.mu_u, 0, -1, z == Z_UPDATE)):
+        # a query arrival at n_q = c is lost but still moves the server as
+        # `decide` says; dropping it would trap the server at the updates
+        # once both thresholds are reached, with no level to leave them by
+        ti, tj, tz = np.minimum(i + di, c), j + dj, nxt[z, event, ci, cj]
+        moves = fires & ((ti != i) | (tj != j) | (tz != z))
+        out += r * moves
+        s = np.flatnonzero(moves & (tj < levels))
+        src.append(s)
+        dst.append(_level_start(tj[s], c)
+                   + np.where(tz[s] == Z_UPDATE, c + ti[s], ti[s] - (tj[s] > 0)))
+        rate.append(np.full(len(s), r))
+    rate.insert(0, -out)
+    q = sp.csr_matrix((np.concatenate(rate), (np.concatenate(src), np.concatenate(dst))),
+                      shape=(n, n))
+    return q, i, j
+
+
+def _check_drift(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
+    # the level process is positive recurrent iff it moves down faster than up
+    # under the stationary law alpha of the phase generator (Neuts, Thm 1.7.1)
+    a = (a0 + a1 + a2).T
+    a[-1] = 1.0
+    alpha = np.linalg.solve(a, np.eye(len(a))[-1])
+    up, down = alpha @ a0.sum(axis=1), alpha @ a2.sum(axis=1)
+    if not up < down:
+        raise NoConvergence(f"the level process drifts up: rate {up:g} up, {down:g} down")
+
+
+def _rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndarray:
+    """R of the level-independent QBD with up, local and down blocks a0, a1
+    and a2, from G by logarithmic reduction."""
+    local = la.lu_factor(-a1)
+    up, down = la.lu_solve(local, a0), la.lu_solve(local, a2)
+    g, path = down.copy(), up.copy()
+    for _ in range(MAX_REDUCTIONS):
+        mix = la.lu_factor(np.eye(len(g)) - up @ down - down @ up)
+        up, down = la.lu_solve(mix, up @ up), la.lu_solve(mix, down @ down)
+        grown = g + path @ down
+        path = path @ up
+        # near rho = 1 round-off keeps 1 - G1 above 1e-13 until G stops moving
+        done = np.max(np.abs(1.0 - grown.sum(axis=1))) < 1e-13 or np.array_equal(grown, g)
+        g = grown
+        if done:
+            return la.solve(-(a1 + a0 @ g).T, a0.T).T
+    raise NoConvergence(f"G not converged after {MAX_REDUCTIONS} reductions")
+
+
+def _solve_qbd(params: ModelParams, table, nxt: np.ndarray, c: int):
+    """(E[N_q], E[N_u], band mass, balance residual, boundary unknowns) of the
+    QBD with n_q truncated at c."""
+    top, p = table.cap_u, 2 * c + 1
+    q, i, j = _generator(params, table, nxt, c, top + 3)
+    # levels top, top + 1 and top + 2 start at s0, s1 and s2; every level
+    # from top on has the transitions of level top + 1
+    s0, s1, s2 = (_level_start(level, c) for level in (top, top + 1, top + 2))
+    a0, a1, a2 = (q[s1:s2, start:start + p].toarray() for start in (s2, s1, s0))
+    _check_drift(a0, a1, a2)
+    r = _rate_matrix(a0, a1, a2)
+
+    # the boundary is levels 0..top, and level top + 1 feeds level top by
+    # pi_top R a2; the empty state's weight is fixed at 1 and its equation
+    # dropped, which leaves the balance sparse
+    feed = sp.coo_matrix(r @ a2)
+    balance = (q[:s1, :s1] + sp.csr_matrix(
+        (feed.data, (feed.row + s0, feed.col + s0)), shape=(s1, s1))).T.tocsc()
+    pi = np.r_[1.0, spla.spsolve(balance[1:, 1:], -balance[1:, 0].toarray().ravel())]
+    pi = np.clip(pi, 0.0, None)  # round-off
+    # levels >= top hold tail = pi_top (I - R)^-1 per phase, and
+    # sum_l (l - top) pi_l = pi_top R (I - R)^-2 = tail R (I - R)^-1
+    left = la.lu_factor((np.eye(p) - r).T)
+    tail = np.clip(la.lu_solve(left, pi[s0:]), 0.0, None)
+    scale = pi[:s0].sum() + tail.sum()
+    pi, tail = pi / scale, tail / scale
+    beyond = la.lu_solve(left, tail @ r)
+
+    upper = np.r_[pi, pi[s0:] @ r, pi[s0:] @ r @ r]
+    residual = float(np.max(np.abs((q.T @ upper)[:s2])))
+    if not residual <= RESIDUAL_TOLERANCE:
+        raise NoConvergence(f"balance residual {residual:g} above {RESIDUAL_TOLERANCE:g}")
+    low, phase_i = pi[:s0], i[s0:s1]
+    nq = low @ i[:s0] + tail @ phase_i
+    nu = low @ j[:s0] + top * tail.sum() + beyond.sum()
+    band = low[i[:s0] >= c - 1].sum() + tail[phase_i >= c - 1].sum()
+    return float(nq), float(nu), float(band), residual, int(s1)
+
+
+def _check_size(c: int, top: int) -> None:
+    # before anything is allocated: the generator holds levels 0..top + 2
+    phases, states = 2 * c + 1, int(_level_start(top + 3, c))
+    if phases > MAX_PHASES or states > MAX_STATES:
+        raise NoConvergence(
+            f"phase truncation {c} needs {phases} phases a level and {states} states; "
+            f"the caps are {MAX_PHASES} phases and {MAX_STATES} states")
+
+
+def solve(params: ModelParams, policy) -> QbdSolution:
+    """Stationary moments of a thresholded policy by one QBD solve for each
+    phase truncation, doubled from twice the table's cap on n_q."""
     stability_guard(params)
     m, n = thresholds(policy)
-    cap_q, cap_u, _ = decision_table(policy)
-    # a queue whose threshold alone is finite is the prioritized, short one
-    # and starts at twice its threshold region; every other queue starts at a
-    # length that grows with the load, and at least at the table's cap
-    low = max(64, math.ceil(8.0 / (1.0 - params.rho)))
-    c_q = max(16, 2 * (n + 1)) if n != UNBOUNDED == m else max(low, cap_q)
-    c_u = max(16, 2 * (m + 1)) if m != UNBOUNDED == n else max(low, cap_u)
+    swap = m != UNBOUNDED == n
+    if swap:
+        params = ModelParams(params.lambda_q, params.mu_q, params.lambda_u, params.mu_u)
+        policy = JointMN(n, m)
+    table = decision_table(policy)
+    nxt = _next_positions(table)
+    rhs = conservation_rhs(params)
+    c = max(16, 2 * table.cap_q)
     while True:
-        spec = CtmcSpec(params, policy, c_q, c_u)
-        solution = solve_stationary(build_ctmc(spec))
-        if solution.tail_mass < TAIL_TOLERANCE:
-            return solution
-        # the union is at most the sum of the bands, so one side always grows
-        half = TAIL_TOLERANCE / 2
-        if solution.tail_mass_q >= half:
-            c_q *= 2
-        if solution.tail_mass_u >= half:
-            c_u *= 2
-        if c_q * c_u > MAX_STATES:
-            raise NoConvergence(
-                f"tail mass {solution.tail_mass:g} still above {TAIL_TOLERANCE:g} "
-                f"at truncation {spec.c_q} x {spec.c_u}; {c_q} x {c_u} would pass "
-                f"the cap of {MAX_STATES} states")
+        _check_size(c, table.cap_u)
+        nq, direct, band, residual, n_states = _solve_qbd(params, table, nxt, c)
+        nu = params.mu_u * (rhs - nq / params.mu_q)
+        gap = abs(direct - nu)
+        if band < TAIL_TOLERANCE and gap < GAP_TOLERANCE * nu:
+            break
+        c *= 2
+    if swap:
+        return QbdSolution(nu, nq, gap, band, residual, (UNBOUNDED, c), n_states)
+    return QbdSolution(nq, nu, gap, band, residual, (c, UNBOUNDED), n_states)

@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Sequence
 
 from . import analytic, ctmc
 from .config import THRESHOLD_AXES, ExperimentSpec
-from .model import UNBOUNDED, Fcfs, JointMN, ModelParams, QueryK, UpdateK, validate_params
+from .model import UNBOUNDED, Fcfs, ModelParams, QueryK, UpdateK, validate_params
+from .policy import policy_columns
 from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
 METRICS = ("response_time", "paoi", "aoi", "nq", "nu")
@@ -43,17 +44,6 @@ class ResultRow:
     status: str
 
 
-def policy_columns(spec) -> tuple:
-    """(name, m, n, k) columns for the CSV."""
-    if isinstance(spec, Fcfs):
-        return "fcfs", None, None, None
-    if isinstance(spec, QueryK):
-        return "query-k", None, None, spec.k
-    if isinstance(spec, UpdateK):
-        return "update-k", None, None, spec.k
-    return "joint-mn", spec.m, spec.n, None
-
-
 def applicable_engines(spec) -> List[str]:
     engines = []
     if isinstance(spec, Fcfs) or (isinstance(spec, (QueryK, UpdateK)) and spec.k == 1):
@@ -72,16 +62,6 @@ def closed_form_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
     if isinstance(spec, UpdateK) and spec.k == 1:
         return analytic.update1_metrics(params)
     raise ValueError(f"no closed form for {spec!r}")
-
-
-def ctmc_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
-    if isinstance(spec, QueryK):
-        return analytic.query_k_metrics(params, spec.k)
-    if isinstance(spec, UpdateK):
-        return analytic.update_k_metrics(params, spec.k)
-    if isinstance(spec, JointMN):
-        return analytic.joint_mn_metrics(params, spec.m, spec.n)
-    raise ValueError(f"no chain solver for {spec!r}")
 
 
 def _result_metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float]]:
@@ -145,9 +125,8 @@ def simulation_stats(policy, params: ModelParams,
     return simulate_policies(params, [policy], sim)[0]
 
 
-def _engine_rows(engine: str, policy, params: ModelParams,
-                 sim: SimConfig) -> List[ResultRow]:
-    """The rows of the "closed_form" or "ctmc" engine, which read nothing of ``sim``."""
+def _engine_rows(engine: str, policy, params: ModelParams) -> List[ResultRow]:
+    """The rows of the "closed_form" or "ctmc" engine."""
     source = "analytic" if engine == "closed_form" else "ctmc"
     if engine not in applicable_engines(policy):
         return result_rows(policy, params, source, error="error: unsupported engine")
@@ -155,7 +134,7 @@ def _engine_rows(engine: str, policy, params: ModelParams,
         return result_rows(policy, params, source)
     try:
         result = (closed_form_for(policy, params) if engine == "closed_form"
-                  else ctmc_for(policy, params))
+                  else analytic.chain_metrics(params, policy))
     except (ctmc.NoConvergence, ctmc.TruncationTooSmall) as exc:
         message = f"error: {exc}".replace(",", ";")  # keep the CSV single-field
         return result_rows(policy, params, source, error=message)
@@ -201,7 +180,7 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
         for engine in engines:
             point_rows.extend(
                 result_rows(policy, params, "sim", stats=stats[index], sim=spec.sim)
-                if engine == "simulation" else _engine_rows(engine, policy, params, spec.sim))
+                if engine == "simulation" else _engine_rows(engine, policy, params))
         point_rows.sort(key=lambda r: (METRICS.index(r.metric),
                                        SOURCES.index(r.source)))
         rows.extend(point_rows)

@@ -65,6 +65,14 @@ def stability_guard(params: ModelParams) -> None:
         raise Unstable(params.rho)
 
 
+def conservation_rhs(params: ModelParams) -> float:
+    """Policy-invariant value of E[N_q]/mu_q + E[N_u]/mu_u for all
+    work-conserving non-idling disciplines here."""
+    stability_guard(params)
+    return ((params.lambda_q / params.mu_q ** 2 + params.lambda_u / params.mu_u ** 2)
+            / (1.0 - params.rho))
+
+
 # the threshold of a queue that never forces a switch; it compares above
 # every count and prints as inf
 UNBOUNDED = math.inf

@@ -97,6 +97,17 @@ def thresholds(policy) -> tuple:
     raise TypeError(f"unknown policy {policy!r}")
 
 
+def policy_columns(policy) -> tuple:
+    """(name, m, n, k) columns of a policy in the CSV."""
+    if isinstance(policy, Fcfs):
+        return "fcfs", None, None, None
+    if isinstance(policy, QueryK):
+        return "query-k", None, None, policy.k
+    if isinstance(policy, UpdateK):
+        return "update-k", None, None, policy.k
+    return "joint-mn", policy.m, policy.n, None
+
+
 def _decide_joint(m, n, state, trigger, n_q, n_u) -> SchedulerState:
     u_hit = n_u >= m
     q_hit = n_q >= n

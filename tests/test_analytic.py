@@ -166,27 +166,42 @@ class TestThresholdChainMetrics:
             u = update_k_metrics(params(lq, lu, 1.0, 1.0), k)
             assert u.expected_nu == pytest.approx(q.expected_nq, rel=1e-8)
             assert u.expected_nq == pytest.approx(q.expected_nu, rel=1e-8)
-            # the automatic truncation grows the mirrored sides
+            # Update-k is solved as the mirrored Query-k chain
             assert u.truncation == q.truncation[::-1]
             assert u.n_states == q.n_states
 
-    def test_two_sided_truncation_grows_only_the_long_queue(self):
+    def test_long_queue_is_the_untruncated_level(self):
         p = params(0.85, 0.1)
         chain = query_k_metrics(p, 1)
         exact = query1_metrics(p)
         assert chain.expected_response_time == pytest.approx(
-            exact.expected_response_time, rel=1e-6)
-        assert chain.expected_paoi == pytest.approx(exact.expected_paoi, rel=1e-6)
+            exact.expected_response_time, rel=1e-9)
+        assert chain.expected_paoi == pytest.approx(exact.expected_paoi, rel=1e-9)
         assert chain.tail_mass < 1e-8
-        c_q, c_u = chain.truncation
-        assert c_q < c_u
-        assert chain.n_states < 20000
+        # the query side stays at its start of max(16, 2 * 3) jobs, and the
+        # boundary is the levels n_u = 0..2 of the decision table
+        assert chain.truncation == (16, UNBOUNDED)
+        assert chain.n_states == 17 + 2 * 33
 
     def test_growth_past_state_cap_raises(self, monkeypatch):
-        # (0.85, 0.1) starts at 16 x 160 and needs 16 x 320
-        monkeypatch.setattr(ctmc, "MAX_STATES", 16 * 160)
-        with pytest.raises(ctmc.NoConvergence, match="tail mass"):
-            query_k_metrics(params(0.85, 0.1), 1)
+        # (0.09, 0.9) grows the query side from 16 to 256 jobs; 64 jobs are 129 phases
+        monkeypatch.setattr(ctmc, "MAX_PHASES", 2 * 32 + 1)
+        with pytest.raises(ctmc.NoConvergence, match="129 phases"):
+            query_k_metrics(params(0.09, 0.9), 1)
+
+    def test_query1_at_rho_099_matches_the_closed_form(self):
+        p = params(0.09, 0.9)
+        chain = query_k_metrics(p, 1)
+        exact = query1_metrics(p)
+        for field in ("expected_nq", "expected_nu", "expected_response_time",
+                      "expected_paoi"):
+            assert getattr(chain, field) == pytest.approx(getattr(exact, field),
+                                                          rel=1e-9), field
+
+    def test_query3_at_rho_099_conserves_work(self):
+        chain = query_k_metrics(params(0.85, 0.14), 3)
+        assert chain.conservation_gap / chain.expected_nu < 1e-9
+        assert chain.tail_mass < 1e-8
 
 
 class TestJointChain:
@@ -219,11 +234,12 @@ class TestJointChain:
             assert abs(st.mean - value) <= 2 * st.half_width, (metric, st, value)
 
     @pytest.mark.parametrize("m, n, single, truncation", [
-        (63, 3, query_k_metrics, (64, 65)), (3, 63, update_k_metrics, (65, 64))])
+        (63, 3, query_k_metrics, (32, UNBOUNDED)), (3, 63, update_k_metrics, (130, UNBOUNDED))])
     def test_large_threshold_starts_at_the_table_cap(self, m, n, single, truncation):
         # at lambda = 1/3 a queue almost never reaches 63 jobs, so the pair
-        # acts like its small threshold alone; the large threshold's side
-        # starts at the decision table's cap of 65, above the load-based 64
+        # acts like its small threshold alone; a large n starts the phase
+        # side at twice the decision table's cap of 65, and a large m puts
+        # the boundary at that cap
         p = params(1 / 3, 1 / 3)
         joint = joint_mn_metrics(p, m, n)
         alone = single(p, 3)
@@ -232,3 +248,5 @@ class TestJointChain:
             assert getattr(joint, field) == pytest.approx(getattr(alone, field),
                                                           rel=1e-9), field
         assert joint.truncation == truncation
+        c = truncation[0]
+        assert joint.n_states == c + 1 + (m + 2) * (2 * c + 1)  # levels 0..m + 2

@@ -238,7 +238,7 @@ class TestThresholdAxis:
     def test_each_point_sets_the_threshold(self, tmp_path, monkeypatch, cfg, expected):
         seen = []
         monkeypatch.setattr(experiment, "_engine_rows",
-                            lambda engine, policy, params, sim: seen.append(policy) or [])
+                            lambda engine, policy, params: seen.append(policy) or [])
         spec = parse_config(write_config(tmp_path, cfg))
         run_experiment(spec)
         if expected is None:  # a rate sweep passes the parsed policy object itself
@@ -414,7 +414,7 @@ class TestCliCommands:
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "truncation = 16 x 64 (" in out
+        assert "truncation = 16 x inf (83 boundary states)" in out
 
     def test_solve_joint_prints_truncation(self, capsys):
         code = cli.main(["solve", "--policy", "joint-mn", "--m", "2", "--n", "3",
@@ -422,14 +422,14 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "policy = joint-mn" in out
-        assert "truncation = 64 x 64 (" in out
+        assert "truncation = 32 x inf (293 boundary states)" in out
 
     def test_solve_joint_with_large_threshold(self, capsys):
         code = cli.main(["solve", "--policy", "joint-mn", "--m", "63", "--n", "3",
                          "--lambda-u", str(1 / 3), "--lambda-q", str(1 / 3)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "truncation = 64 x 65 (" in out
+        assert "truncation = 32 x inf (4258 boundary states)" in out
 
     def test_solve_past_state_cap_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(ctmc, "MAX_STATES", 100)
@@ -437,6 +437,14 @@ class TestCliCommands:
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])
         assert code == 2
         assert "states" in capsys.readouterr().err
+
+    def test_solve_past_phase_cap_exits_2(self, capsys, monkeypatch):
+        # Query-1 at (0.09, 0.9) grows its query side to 256 jobs; 64 jobs are 129 phases
+        monkeypatch.setattr(ctmc, "MAX_PHASES", 2 * 32 + 1)
+        code = cli.main(["solve", "--policy", "query-k", "--k", "1",
+                         "--lambda-u", "0.09", "--lambda-q", "0.9"])
+        assert code == 2
+        assert "129 phases" in capsys.readouterr().err
 
     def test_non_finite_horizon_exits_1(self, capsys):
         code = cli.main(["simulate", "--policy", "fcfs", "--lambda-u", "0.5",

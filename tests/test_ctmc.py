@@ -18,7 +18,8 @@ from freshsched.ctmc import (
     solve_stationary,
 )
 from freshsched.analytic import conservation_rhs, query1_metrics
-from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
+from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK, validate_params
+from freshsched.policy import decision_table
 
 
 def chain_from_edges(states, edges):
@@ -164,12 +165,9 @@ class TestEndToEnd:
         sol = solve_stationary(build_ctmc(CtmcSpec(p, QueryK(1), 12, 40)))
         states = np.array(sol.rates.states)
         pi = sol.probabilities
-        assert sol.tail_mass_q == pytest.approx(pi[states[:, 0] >= 11].sum(), rel=1e-12)
-        assert sol.tail_mass_u == pytest.approx(pi[states[:, 1] >= 39].sum(), rel=1e-12)
-        assert max(sol.tail_mass_q, sol.tail_mass_u) <= sol.tail_mass
-        assert sol.tail_mass <= sol.tail_mass_q + sol.tail_mass_u
-        # the prioritized queue is the short one
-        assert sol.tail_mass_q < sol.tail_mass_u
+        band = (states[:, 0] >= 11) | (states[:, 1] >= 39)
+        assert sol.tail_mass == pytest.approx(pi[band].sum(), rel=1e-12)
+        assert 0 < sol.tail_mass < 1
 
     def test_k1_chain_matches_priority_closed_form(self):
         p = validate_params(0.5, 1, 0.1, 1)
@@ -201,3 +199,37 @@ class TestEndToEnd:
         assert sol.probabilities.min() >= 0.0
         assert sol.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
         assert sol.residual <= 1e-10
+
+
+class TestQbdSolve:
+    @pytest.mark.parametrize("policy", [
+        QueryK(3), UpdateK(3), JointMN(3, 3), JointMN(1, 5), JointMN(UNBOUNDED, 3),
+        JointMN(3, UNBOUNDED), JointMN(63, 3)], ids=repr)
+    def test_matches_the_truncated_chain(self, policy):
+        p = validate_params(0.4, 1, 0.2, 1)
+        reference = solve_stationary(build_ctmc(CtmcSpec(p, policy, 65, 65)))
+        assert reference.tail_mass < 1e-12
+        nq, nu = expected_queue_lengths(reference)
+        qbd = ctmc.solve(p, policy)
+        assert qbd.expected_nq == pytest.approx(nq, rel=1e-7)
+        assert qbd.expected_nu == pytest.approx(nu, rel=1e-7)
+        assert qbd.residual <= ctmc.RESIDUAL_TOLERANCE
+
+    def test_lost_query_arrival_still_switches_the_server(self):
+        # above both thresholds only a query arrival moves the server from the
+        # updates to the queries; at n_q = c that arrival is lost, and if it
+        # were dropped, (c, update) would trap the server: Joint-(5, 8) at
+        # (0.2, 0.7) then failed the drift check at c = 320
+        p = validate_params(0.2, 1, 0.7, 1)
+        table = decision_table(JointMN(5, 8))
+        c, level = 20, table.cap_u + 1
+        q, _i, _j = ctmc._generator(p, table, ctmc._next_positions(table), c, level + 2)
+        start = int(ctmc._level_start(level, c))
+        serving_updates, serving_queries = start + 2 * c, start + c - 1  # n_q = c
+        assert q[serving_updates, serving_queries] == p.lambda_q
+        assert q[serving_updates, serving_updates] == -(p.lambda_q + p.lambda_u + p.mu_u)
+
+    def test_upward_drift_rejected(self):
+        # one phase: up at rate 2, down at rate 1
+        with pytest.raises(NoConvergence, match="drifts up"):
+            ctmc._check_drift(np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]]))
