@@ -96,25 +96,19 @@ def _print_result(result: analytic.ClosedFormResult) -> None:
         print(f"truncation = {c_q} x {c_u} ({result.n_states} boundary states)")
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_exact(args) -> int:
+    """analyze (source "analytic", the closed forms) and solve (source
+    "ctmc", the chain)."""
     params = _params(args)
     policy = _build_policy(args)
-    result = experiment.closed_form_for(policy, params)
+    if args.source == "analytic":
+        result = experiment.closed_form_for(policy, params)
+    else:
+        result = analytic.chain_metrics(params, policy)
     _print_result(result)
     if args.out:
-        experiment.emit_csv(experiment.result_rows(policy, params, "analytic", result),
+        experiment.emit_csv(experiment.result_rows(policy, params, args.source, result),
                             args.out)
-        print(f"wrote {args.out}")
-    return EXIT_OK
-
-
-def _cmd_solve(args) -> int:
-    params = _params(args)
-    policy = _build_policy(args)
-    result = analytic.chain_metrics(params, policy)
-    _print_result(result)
-    if args.out:
-        experiment.emit_csv(experiment.result_rows(policy, params, "ctmc", result), args.out)
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -217,14 +211,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_rate_flags(p)
     _add_policy_flags(p, ("fcfs", "query-k", "update-k"))
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_exact, source="analytic")
 
     p = sub.add_parser("solve", help="Markov-chain steady state for Query-k, Update-k "
                                      "and Joint-(m, n)")
     _add_rate_flags(p)
     _add_policy_flags(p, ("query-k", "update-k", "joint-mn"))
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_exact, source="ctmc")
 
     p = sub.add_parser("simulate", help="run replications of one policy")
     _add_rate_flags(p)
@@ -259,7 +253,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ctmc.NoConvergence, ctmc.TruncationTooSmall) as exc:
+    except ctmc.NoConvergence as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

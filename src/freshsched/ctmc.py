@@ -65,6 +65,13 @@ class Reducible(RuntimeError):
     """The represented state space is not a single recurrent class."""
 
 
+def _reject_fcfs(policy) -> None:
+    # the (inf, inf) chain of FCFS's thresholds is not FCFS, which serves by
+    # arrival order
+    if isinstance(policy, Fcfs):
+        raise ValueError("FCFS has no chain on queue counts: it serves by arrival order")
+
+
 @dataclass(frozen=True)
 class CtmcSpec:
     params: ModelParams
@@ -73,8 +80,7 @@ class CtmcSpec:
     c_u: int
 
     def __post_init__(self):
-        if isinstance(self.policy, Fcfs):
-            raise ValueError("FCFS has no chain on queue counts: it serves by arrival order")
+        _reject_fcfs(self.policy)
         # the chain must reach the table's caps, from which on a count decides
         # like every count above it
         cap_q, cap_u, _ = decision_table(self.policy)
@@ -362,6 +368,7 @@ def _check_size(c: int, top: int) -> None:
 def solve(params: ModelParams, policy) -> QbdSolution:
     """Stationary moments of a thresholded policy by one QBD solve for each
     phase truncation, doubled from twice the table's cap on n_q."""
+    _reject_fcfs(policy)
     stability_guard(params)
     m, n = thresholds(policy)
     swap = m != UNBOUNDED == n

@@ -135,7 +135,7 @@ def _engine_rows(engine: str, policy, params: ModelParams) -> List[ResultRow]:
     try:
         result = (closed_form_for(policy, params) if engine == "closed_form"
                   else analytic.chain_metrics(params, policy))
-    except (ctmc.NoConvergence, ctmc.TruncationTooSmall) as exc:
+    except ctmc.NoConvergence as exc:
         message = f"error: {exc}".replace(",", ";")  # keep the CSV single-field
         return result_rows(policy, params, source, error=message)
     return result_rows(policy, params, source, result=result)

@@ -1,7 +1,11 @@
 """Scheduling decisions as pure functions over (queue counts, server position).
 
-The simulator and the Markov-chain builder both read `decision_table`, which is
-generated from `decide`, so the switching rules live in exactly one place.
+Every policy is the threshold rule of Joint-(m, n): Query-k is (inf, k),
+Update-k is (k, inf) and FCFS is (inf, inf), which adds only the arrival-order
+tiebreak that counts alone cannot decide. A position and a trigger are their
+integer codes, which index the decision table. The simulator and the
+Markov-chain builder both read `decision_table`, which is generated from
+`decide`, so the switching rules live in exactly one place.
 """
 from __future__ import annotations
 
@@ -12,17 +16,26 @@ from typing import NamedTuple, Tuple
 from .model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 
 
-class ServerPosition(enum.Enum):
-    SERVING_QUERY = "serving_query"
-    SERVING_UPDATE = "serving_update"
-    IDLE = "idle"
+class ServerPosition(enum.IntEnum):
+    """The chain's z: a position's value is its code in the decision table."""
+    IDLE = 0
+    SERVING_QUERY = 1
+    SERVING_UPDATE = 2
 
 
-class Trigger(enum.Enum):
-    ARRIVAL_UPDATE = "arrival_update"
-    ARRIVAL_QUERY = "arrival_query"
-    DEPARTURE_UPDATE = "departure_update"
-    DEPARTURE_QUERY = "departure_query"
+class Trigger(enum.IntEnum):
+    ARRIVAL_UPDATE = 0
+    ARRIVAL_QUERY = 1
+    DEPARTURE_UPDATE = 2
+    DEPARTURE_QUERY = 3
+
+
+# the codes as plain ints, which the simulator's event loop compares faster
+Z_IDLE, Z_QUERY, Z_UPDATE = map(int, ServerPosition)
+ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q = map(int, Trigger)
+# table value of an FCFS departure that leaves both queues nonempty: the older
+# head is served next, the update on a tie (see FcfsOrderUndetermined)
+OLDER_HEAD = -1
 
 
 class SchedulerState(NamedTuple):
@@ -49,11 +62,12 @@ def _apply_counts(state: SchedulerState, trigger: Trigger) -> tuple:
         return n_q + 1, n_u
     if trigger is Trigger.ARRIVAL_UPDATE:
         return n_q, n_u + 1
+    # a valid serving state holds a job of the class it serves
     if trigger is Trigger.DEPARTURE_QUERY:
-        if state.position is not ServerPosition.SERVING_QUERY or n_q < 1:
+        if state.position is not ServerPosition.SERVING_QUERY:
             raise InconsistentTrigger(f"query departure from {state}")
         return n_q - 1, n_u
-    if state.position is not ServerPosition.SERVING_UPDATE or n_u < 1:
+    if state.position is not ServerPosition.SERVING_UPDATE:
         raise InconsistentTrigger(f"update departure from {state}")
     return n_q, n_u - 1
 
@@ -67,33 +81,18 @@ def _validate_state(state: SchedulerState) -> None:
         raise InconsistentTrigger(f"idle with jobs present: {state}")
 
 
-def _decide_fcfs(state, trigger, n_q, n_u) -> SchedulerState:
-    pos = state.position
-    if trigger in (Trigger.ARRIVAL_QUERY, Trigger.ARRIVAL_UPDATE):
-        if pos is ServerPosition.IDLE:
-            pos = (ServerPosition.SERVING_QUERY if trigger is Trigger.ARRIVAL_QUERY
-                   else ServerPosition.SERVING_UPDATE)
-        return SchedulerState(n_q, n_u, pos)
-    # departure: the next job is the globally oldest, which counts alone only
-    # determine when at most one queue is nonempty
-    if n_q == 0 and n_u == 0:
-        return SchedulerState(0, 0, ServerPosition.IDLE)
-    if n_q == 0:
-        return SchedulerState(n_q, n_u, ServerPosition.SERVING_UPDATE)
-    if n_u == 0:
-        return SchedulerState(n_q, n_u, ServerPosition.SERVING_QUERY)
-    raise FcfsOrderUndetermined("both queues nonempty after an FCFS departure")
-
-
 def thresholds(policy) -> tuple:
-    """The (m, n) pair of a thresholded policy: the update queue's threshold m
-    and the query queue's n. Query-k is (inf, k) and Update-k is (k, inf)."""
+    """The (m, n) pair of a policy: the update queue's threshold m and the
+    query queue's n. Query-k is (inf, k), Update-k is (k, inf) and FCFS,
+    which never switches on a count, is (inf, inf)."""
     if isinstance(policy, QueryK):
         return UNBOUNDED, policy.k
     if isinstance(policy, UpdateK):
         return policy.k, UNBOUNDED
     if isinstance(policy, JointMN):
         return policy.m, policy.n
+    if isinstance(policy, Fcfs):
+        return UNBOUNDED, UNBOUNDED
     raise TypeError(f"unknown policy {policy!r}")
 
 
@@ -140,32 +139,19 @@ def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
     """Apply one arrival/departure event and return the post-event state."""
     _validate_state(state)
     n_q, n_u = _apply_counts(state, trigger)
-    if isinstance(policy, Fcfs):
-        return _decide_fcfs(state, trigger, n_q, n_u)
+    if n_q and n_u and trigger >= Trigger.DEPARTURE_UPDATE and isinstance(policy, Fcfs):
+        raise FcfsOrderUndetermined("both queues nonempty after an FCFS departure")
     return _decide_joint(*thresholds(policy), state, trigger, n_q, n_u)
-
-
-# Integer codes of the decision table: a position is its index in POSITIONS
-# (the chain's z), a trigger its index in TRIGGERS.
-Z_IDLE, Z_QUERY, Z_UPDATE = range(3)
-POSITIONS = (ServerPosition.IDLE, ServerPosition.SERVING_QUERY,
-             ServerPosition.SERVING_UPDATE)
-ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q = range(4)
-TRIGGERS = (Trigger.ARRIVAL_UPDATE, Trigger.ARRIVAL_QUERY,
-            Trigger.DEPARTURE_UPDATE, Trigger.DEPARTURE_QUERY)
-# table value of an FCFS departure that leaves both queues nonempty: the older
-# head is served next, the update on a tie (see FcfsOrderUndetermined)
-OLDER_HEAD = -1
 
 
 class DecisionTable(NamedTuple):
     """`decide`'s post-event position for every valid (state, trigger).
 
-    ``next_position[z][e][i][j]`` is the position code after trigger code ``e``
-    from position code ``z`` with ``min(n_q, cap_q) = i`` and
-    ``min(n_u, cap_u) = j`` before the event. A count at or above its cap
-    decides like the cap, so the table is exact for every count. Entries for
-    invalid states and triggers are None.
+    ``next_position[z][e][i][j]`` is the position code, a `ServerPosition`
+    value as a plain int, after trigger ``e`` from position ``z`` with
+    ``min(n_q, cap_q) = i`` and ``min(n_u, cap_u) = j`` before the event. A
+    count at or above its cap decides like the cap, so the table is exact for
+    every count. Entries for invalid states and triggers are None.
     """
 
     cap_q: int
@@ -181,7 +167,7 @@ def _cap(threshold) -> int:
 
 def _table_entry(policy, state: SchedulerState, trigger: Trigger):
     try:
-        return POSITIONS.index(decide(policy, state, trigger).position)
+        return int(decide(policy, state, trigger).position)
     except InconsistentTrigger:
         return None
     except FcfsOrderUndetermined:
@@ -191,14 +177,11 @@ def _table_entry(policy, state: SchedulerState, trigger: Trigger):
 @functools.lru_cache(maxsize=64)
 def decision_table(policy) -> DecisionTable:
     """Call `decide` once on every valid state with counts up to the caps."""
-    if isinstance(policy, Fcfs):
-        cap_q, cap_u = 2, 2
-    else:
-        m, n = thresholds(policy)
-        cap_q, cap_u = _cap(n), _cap(m)
+    m, n = thresholds(policy)
+    cap_q, cap_u = _cap(n), _cap(m)
     return DecisionTable(cap_q, cap_u, tuple(
         tuple(tuple(tuple(_table_entry(policy, SchedulerState(i, j, position), trigger)
                           for j in range(cap_u + 1))
                     for i in range(cap_q + 1))
-              for trigger in TRIGGERS)
-        for position in POSITIONS))
+              for trigger in Trigger)
+        for position in ServerPosition))

@@ -215,6 +215,12 @@ class TestQbdSolve:
         assert qbd.expected_nu == pytest.approx(nu, rel=1e-7)
         assert qbd.residual <= ctmc.RESIDUAL_TOLERANCE
 
+    def test_fcfs_rejected(self):
+        # FCFS's thresholds are (inf, inf), whose chain is not FCFS's: solved,
+        # it gave E[N_q] = 0.557 at (0.3, 0.3), where FCFS's is 0.75
+        with pytest.raises(ValueError, match="FCFS"):
+            ctmc.solve(validate_params(0.3, 1, 0.3, 1), Fcfs())
+
     def test_lost_query_arrival_still_switches_the_server(self):
         # above both thresholds only a query arrival moves the server from the
         # updates to the queries; at n_q = c that arrival is lost, and if it

@@ -4,9 +4,14 @@ from hypothesis import strategies as st
 
 from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 from freshsched.policy import (
+    ARRIVE_Q,
+    ARRIVE_U,
+    DEPART_Q,
+    DEPART_U,
     OLDER_HEAD,
-    POSITIONS,
-    TRIGGERS,
+    Z_IDLE,
+    Z_QUERY,
+    Z_UPDATE,
     FcfsOrderUndetermined,
     InconsistentTrigger,
     SchedulerState,
@@ -114,7 +119,33 @@ class TestUpdateK:
         assert post == SchedulerState(0, 1, SU)
 
 
+class TestCodes:
+    def test_positions_and_triggers_are_the_table_codes(self):
+        assert (int(IDLE), int(SQ), int(SU)) == (Z_IDLE, Z_QUERY, Z_UPDATE) == (0, 1, 2)
+        assert tuple(map(int, Trigger)) == (ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q) \
+            == (0, 1, 2, 3)
+        for code in (Z_IDLE, Z_QUERY, Z_UPDATE, ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q):
+            assert type(code) is int
+
+
 class TestFcfs:
+    def test_is_the_threshold_rule_without_thresholds(self):
+        # FCFS decides like Query-inf wherever the counts determine the next
+        # job, and raises only after a departure that leaves both queues busy
+        undetermined = 0
+        for state in enumerate_states(10):
+            for trigger in valid_triggers(state):
+                expected = decide(QueryK(UNBOUNDED), state, trigger)
+                try:
+                    post = decide(Fcfs(), state, trigger)
+                except FcfsOrderUndetermined:
+                    assert trigger in (Trigger.DEPARTURE_QUERY, Trigger.DEPARTURE_UPDATE)
+                    assert expected.n_q and expected.n_u
+                    undetermined += 1
+                    continue
+                assert post == expected, (state, trigger)
+        assert undetermined > 0
+
     def test_departure_with_one_queue_left(self):
         post = decide(Fcfs(), SchedulerState(0, 2, SU), Trigger.DEPARTURE_UPDATE)
         assert post == SchedulerState(0, 1, SU)
@@ -247,7 +278,7 @@ class TestDecisionTable:
             if state.n_q > cap_q + 3 or state.n_u > cap_u + 3:
                 continue
             for trigger in valid_triggers(state):
-                entry = table[POSITIONS.index(state.position)][TRIGGERS.index(trigger)][
+                entry = table[state.position][trigger][
                     min(state.n_q, cap_q)][min(state.n_u, cap_u)]
                 try:
                     post = decide(policy, state, trigger)
@@ -255,16 +286,22 @@ class TestDecisionTable:
                     assert isinstance(policy, Fcfs)
                     assert entry == OLDER_HEAD
                     continue
-                assert entry == POSITIONS.index(post.position), (state, trigger)
+                assert entry == post.position, (state, trigger)
                 checked += 1
         assert checked > 50
 
     def test_invalid_entries_are_empty(self):
         _, _, table = decision_table(QueryK(3))
-        idle, serving_query = POSITIONS.index(IDLE), POSITIONS.index(SQ)
-        departure_query = TRIGGERS.index(Trigger.DEPARTURE_QUERY)
-        assert table[idle][departure_query][0][0] is None
-        assert table[serving_query][departure_query][0][1] is None  # no query present
+        assert table[IDLE][Trigger.DEPARTURE_QUERY][0][0] is None
+        assert table[SQ][Trigger.DEPARTURE_QUERY][0][1] is None  # no query present
+
+    def test_entries_are_plain_int_codes(self):
+        # the simulator compares entries with the plain-int codes in its loop
+        for policy in ALL_POLICIES:
+            for z in decision_table(policy).next_position:
+                for e in z:
+                    for row in e:
+                        assert all(x is None or type(x) is int for x in row)
 
     @pytest.mark.parametrize("k", [1, 3, 12])
     def test_single_threshold_policies_are_joint_policies(self, k):
