@@ -1,6 +1,12 @@
 """Response-time vs. information-freshness tradeoff toolkit for a
 single-server two-queue (updates + queries) system."""
 
+import os
+
+# One BLAS thread unless the user chose a count, set before numpy loads: the
+# QBD solve's dense reduction runs about twice as slow with two on 2 cores.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .model import (
     UNBOUNDED,
     Fcfs,

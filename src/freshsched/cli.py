@@ -14,7 +14,7 @@ from typing import List, Optional
 
 from . import analytic, ctmc, experiment, svgplot
 from .config import ParseError, ValidationError, build_policy, parse_config, parse_threshold
-from .model import NonFiniteRate, NonPositiveRate, Unstable, validate_params
+from .model import NonFiniteRate, NonPositiveRate, Unstable, stability_guard, validate_params
 from .simulator import SimConfig
 
 EXIT_OK = 0
@@ -101,10 +101,7 @@ def _cmd_exact(args) -> int:
     "ctmc", the chain)."""
     params = _params(args)
     policy = _build_policy(args)
-    if args.source == "analytic":
-        result = experiment.closed_form_for(policy, params)
-    else:
-        result = analytic.chain_metrics(params, policy)
+    result = experiment.exact_result(args.source, policy, params)
     _print_result(result)
     if args.out:
         experiment.emit_csv(experiment.result_rows(policy, params, args.source, result),
@@ -117,7 +114,7 @@ def _cmd_simulate(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     sim = _sim_config(args)
-    stats = experiment.simulation_stats(policy, params, sim)
+    stats = experiment.simulate_policies(params, [policy], sim)[0]
     if params.rho >= 1:
         print(f"warning: rho = {params.rho:.4g} >= 1, metrics are transient", file=sys.stderr)
     for metric in experiment.METRICS:
@@ -159,13 +156,10 @@ def _cmd_compare(args) -> int:
     if sim.replications < 2:
         raise ValidationError(f"compare needs --reps >= 2, got {sim.replications}: "
                               "a confidence interval needs two replications")
-    stats = experiment.simulation_stats(policy, params, sim)
-    engines = experiment.applicable_engines(policy)
-    results = {}
-    if "closed_form" in engines:
-        results["analytic"] = experiment.closed_form_for(policy, params)
-    if "ctmc" in engines:
-        results["ctmc"] = analytic.chain_metrics(params, policy)
+    stability_guard(params)
+    stats = experiment.simulate_policies(params, [policy], sim)[0]
+    results = {source: experiment.exact_result(source, policy, params)
+               for source in experiment.applicable_sources(policy) if source != "sim"}
     print(f"{'metric':<16}{'sim mean':>12}{'ci':>10}", end="")
     for source in results:
         print(f"{source:>12}{'agree':>8}", end="")
@@ -178,7 +172,7 @@ def _cmd_compare(args) -> int:
         ci = st.half_width
         print(f"{metric:<16}{st.mean:>12.5g}{ci:>10.3g}", end="")
         for result in results.values():
-            value = experiment._result_metric_values(result).get(metric)
+            value = experiment.metric_values(result).get(metric)
             if value is None:
                 print(f"{'n/a':>12}{'-':>8}", end="")
                 continue

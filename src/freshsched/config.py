@@ -35,7 +35,8 @@ class ValidationError(ValueError):
     pass
 
 
-ENGINES = ("closed_form", "ctmc", "simulation", "all")
+# a policy section's `engine =` value -> the CSV source of its rows
+ENGINES = {"closed_form": "analytic", "ctmc": "ctmc", "simulation": "sim", "all": "all"}
 SWEEPABLE_RATES = ("lambda_u", "lambda_q", "mu_u", "mu_q")
 THRESHOLD_AXES = ("k", "m", "n")
 _POLICY_THRESHOLDS = {"fcfs": (), "query-k": ("k",), "update-k": ("k",),
@@ -73,7 +74,7 @@ class SweepAxis:
 class PolicyRun:
     name: str
     spec: "Fcfs | QueryK | UpdateK | JointMN"
-    engine: str = "all"
+    source: str = "all"  # from `experiment.SOURCES`, or "all": each that covers the policy
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,8 @@ def _build_policy(path: str, name: str, section,
         raise ValidationError(f"{path}: [policy.{name}]: {exc}") from exc
     engine = section.get("engine", ("all", 0))[0].strip().lower()
     if engine not in ENGINES:
-        raise ValidationError(f"{path}: engine {engine!r} not one of {ENGINES}")
-    return PolicyRun(name, spec, engine)
+        raise ValidationError(f"{path}: engine {engine!r} not one of {tuple(ENGINES)}")
+    return PolicyRun(name, spec, ENGINES[engine])
 
 
 def parse_config(path: str) -> ExperimentSpec:

@@ -18,10 +18,8 @@ from .policy import policy_columns
 from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
 METRICS = ("response_time", "paoi", "aoi", "nq", "nu")
+# the closed forms, the Markov chain and the simulator
 SOURCES = ("analytic", "ctmc", "sim")
-
-CSV_HEADER = ("policy,m,n,k,lambda_u,lambda_q,mu_u,mu_q,metric,source,"
-              "mean,ci_half_width,replications,horizon,seed,status")
 
 
 @dataclass(frozen=True)
@@ -44,27 +42,34 @@ class ResultRow:
     status: str
 
 
-def applicable_engines(spec) -> List[str]:
-    engines = []
-    if isinstance(spec, Fcfs) or (isinstance(spec, (QueryK, UpdateK)) and spec.k == 1):
-        engines.append("closed_form")
-    if not isinstance(spec, Fcfs):
-        engines.append("ctmc")
-    engines.append("simulation")
-    return engines
+CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ResultRow))
 
 
-def closed_form_for(spec, params: ModelParams) -> analytic.ClosedFormResult:
-    if isinstance(spec, Fcfs):
+def applicable_sources(policy) -> List[str]:
+    """The sources that compute ``policy``, in ``SOURCES`` order: the closed
+    forms cover FCFS, Query-1 and Update-1, the chain every thresholded
+    policy, and the simulator all."""
+    closed = isinstance(policy, Fcfs) or (isinstance(policy, (QueryK, UpdateK)) and policy.k == 1)
+    covered = (closed, not isinstance(policy, Fcfs), True)
+    return [source for source, covers in zip(SOURCES, covered) if covers]
+
+
+def exact_result(source: str, policy, params: ModelParams) -> analytic.ClosedFormResult:
+    """The steady-state result of ``policy`` from source "analytic" or "ctmc".
+    Each function is looked up on `analytic` at call time, so that a wrapper
+    set on the module sees every call."""
+    if source == "ctmc":
+        return analytic.chain_metrics(params, policy)
+    if isinstance(policy, Fcfs):
         return analytic.fcfs_metrics(params)
-    if isinstance(spec, QueryK) and spec.k == 1:
+    if isinstance(policy, QueryK) and policy.k == 1:
         return analytic.query1_metrics(params)
-    if isinstance(spec, UpdateK) and spec.k == 1:
+    if isinstance(policy, UpdateK) and policy.k == 1:
         return analytic.update1_metrics(params)
-    raise ValueError(f"no closed form for {spec!r}")
+    raise ValueError(f"no closed form for {policy!r}")
 
 
-def _result_metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float]]:
+def metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float]]:
     return {
         "response_time": result.expected_response_time,
         "paoi": result.expected_paoi,
@@ -86,7 +91,7 @@ def result_rows(policy, params: ModelParams, source: str,
     """
     name, m, n, k = policy_columns(policy)
     stable = params.rho < 1.0
-    values = _result_metric_values(result) if result is not None else {}
+    values = metric_values(result) if result is not None else {}
     rows = []
     for metric in METRICS:
         ci = reps = horizon = seed = None
@@ -120,21 +125,14 @@ def simulate_policies(params: ModelParams, policies: Sequence,
     return [aggregate(mine) for mine in runs]
 
 
-def simulation_stats(policy, params: ModelParams,
-                     sim: SimConfig) -> Dict[str, SummaryStats]:
-    return simulate_policies(params, [policy], sim)[0]
-
-
-def _engine_rows(engine: str, policy, params: ModelParams) -> List[ResultRow]:
-    """The rows of the "closed_form" or "ctmc" engine."""
-    source = "analytic" if engine == "closed_form" else "ctmc"
-    if engine not in applicable_engines(policy):
+def _engine_rows(source: str, policy, params: ModelParams) -> List[ResultRow]:
+    """The rows of source "analytic" or "ctmc"."""
+    if source not in applicable_sources(policy):
         return result_rows(policy, params, source, error="error: unsupported engine")
     if params.rho >= 1.0:
         return result_rows(policy, params, source)
     try:
-        result = (closed_form_for(policy, params) if engine == "closed_form"
-                  else analytic.chain_metrics(params, policy))
+        result = exact_result(source, policy, params)
     except ctmc.NoConvergence as exc:
         message = f"error: {exc}".replace(",", ";")  # keep the CSV single-field
         return result_rows(policy, params, source, error=message)
@@ -145,7 +143,7 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
     """Every row of the sweep, point-major, each policy's rows in the order of
     ``METRICS`` and then ``SOURCES``.
 
-    The (point, policy, engines) triples are planned first. The simulated
+    The (point, policy, sources) triples are planned first. The simulated
     pairs are grouped by their rates: a rate sweep makes one group per point,
     and a threshold axis one group for the whole sweep. Each group runs
     through `simulate_policies`, so its policies share each replication's jobs.
@@ -164,10 +162,10 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
         for run in spec.policies:
             policy = (dataclasses.replace(run.spec, **{axis: int(value)})
                       if axis in THRESHOLD_AXES else run.spec)
-            engines = applicable_engines(policy) if run.engine == "all" else [run.engine]
-            if "simulation" in engines:
+            sources = applicable_sources(policy) if run.source == "all" else [run.source]
+            if "sim" in sources:
                 groups.setdefault(params, []).append(len(plan))
-            plan.append((params, policy, engines))
+            plan.append((params, policy, sources))
 
     stats = {}
     for params, members in groups.items():
@@ -175,12 +173,12 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
         stats.update(zip(members, simulate_policies(params, policies, spec.sim)))
 
     rows: List[ResultRow] = []
-    for index, (params, policy, engines) in enumerate(plan):
+    for index, (params, policy, sources) in enumerate(plan):
         point_rows: List[ResultRow] = []
-        for engine in engines:
+        for source in sources:
             point_rows.extend(
                 result_rows(policy, params, "sim", stats=stats[index], sim=spec.sim)
-                if engine == "simulation" else _engine_rows(engine, policy, params))
+                if source == "sim" else _engine_rows(source, policy, params))
         point_rows.sort(key=lambda r: (METRICS.index(r.metric),
                                        SOURCES.index(r.source)))
         rows.extend(point_rows)
@@ -209,14 +207,16 @@ def emit_csv(rows: Sequence[ResultRow], path: str) -> None:
 def read_csv(path: str) -> List[ResultRow]:
     """Read back a file produced by emit_csv."""
 
-    def num(text, caster):
-        return caster(text) if text else None
+    def optional(cast):
+        return lambda text: cast(text) if text else None
 
-    def cell(text):
-        if not text:
-            return None
-        return UNBOUNDED if text == "inf" else int(text)
+    real, integer = optional(float), optional(int)
 
+    def threshold(text):
+        return UNBOUNDED if text == "inf" else integer(text)
+
+    casts = (str, threshold, threshold, threshold, float, float, float, float, str, str,
+             real, real, integer, real, integer, str)  # one per `ResultRow` field
     try:
         with open(path, "r", encoding="utf-8") as handle:
             header = handle.readline().rstrip("\n")
@@ -225,15 +225,9 @@ def read_csv(path: str) -> List[ResultRow]:
             rows = []
             for line in handle:
                 parts = line.rstrip("\n").split(",")
-                if len(parts) != 16:
+                if len(parts) != len(casts):
                     raise ValueError(f"{path}: malformed row {line!r}")
-                (policy, m, n, k, lu, lq, mu, mq, metric, source,
-                 mean, ci, reps, horizon, seed, status) = parts
-                rows.append(ResultRow(
-                    policy, cell(m), cell(n), cell(k),
-                    float(lu), float(lq), float(mu), float(mq), metric, source,
-                    num(mean, float), num(ci, float), num(reps, int),
-                    num(horizon, float), num(seed, int), status))
+                rows.append(ResultRow(*(cast(part) for cast, part in zip(casts, parts))))
             return rows
     except OSError as exc:
         raise OSError(f"cannot read CSV from {path}: {exc}") from exc

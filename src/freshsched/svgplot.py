@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Sequence, Tuple
 
+from .config import SWEEPABLE_RATES, THRESHOLD_AXES
 from .experiment import ResultRow
 
 WIDTH, HEIGHT = 760, 460
@@ -16,7 +17,7 @@ MARGIN_LEFT, MARGIN_RIGHT, MARGIN_TOP, MARGIN_BOTTOM = 70, 230, 30, 55
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf", "#bcbd22", "#7f7f7f")
 
-X_AXES = ("lambda_u", "lambda_q", "mu_u", "mu_q", "k", "m", "n")
+X_AXES = SWEEPABLE_RATES + THRESHOLD_AXES
 
 
 class NoData(ValueError):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from freshsched import cli, ctmc, experiment
+from freshsched import analytic, cli, ctmc, experiment
 from freshsched.config import (
     ExperimentSpec,
     ParseError,
@@ -155,12 +155,36 @@ class TestRunExperiment:
         # 3 points x 5 metrics x (fcfs: analytic+sim, query-1: analytic+ctmc+sim)
         assert len(rows) == 3 * 5 * (2 + 3)
 
-    def test_unsupported_engine_rows_are_marked(self, tmp_path):
-        cfg = BASE_CONFIG.replace("type = fcfs", "type = fcfs\nengine = ctmc")
+    @pytest.mark.parametrize("section, source", [
+        ("type = fcfs\nengine = ctmc", "ctmc"),
+        ("type = query-k\nk = 3\nengine = closed_form", "analytic"),
+    ], ids=["fcfs-ctmc", "query3-closed_form"])
+    def test_unsupported_engine_rows_are_marked(self, tmp_path, section, source):
+        cfg = BASE_CONFIG.replace("type = fcfs", section)
         rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
         assert len(rows) == 5
         assert all(r.status == "error: unsupported engine" for r in rows)
-        assert all(r.mean is None and r.source == "ctmc" for r in rows)
+        assert all(r.mean is None and r.source == source for r in rows)
+
+    def test_simulation_engine_writes_only_sim_rows(self, tmp_path):
+        # Query-1 has all three sources; the engine picks one
+        cfg = BASE_CONFIG.replace("type = fcfs", "type = query-k\nk = 1\nengine = simulation")
+        rows = run_experiment(parse_config(write_config(tmp_path, cfg)))
+        assert len(rows) == 5
+        assert all(r.source == "sim" and r.status == "ok" for r in rows)
+
+    def test_engines_are_reached_through_module_attributes(self, tmp_path, monkeypatch):
+        # the benchmark times the engines by wrapping these module attributes
+        calls = dict.fromkeys(("query1_metrics", "chain_metrics", "run_replication"), 0)
+        for module, name in ((analytic, "query1_metrics"), (analytic, "chain_metrics"),
+                             (experiment, "run_replication")):
+            def counted(*args, _name=name, _inner=getattr(module, name)):
+                calls[_name] += 1
+                return _inner(*args)
+            monkeypatch.setattr(module, name, counted)
+        cfg = BASE_CONFIG.replace("type = fcfs", "type = query-k\nk = 1")
+        run_experiment(parse_config(write_config(tmp_path, cfg)))
+        assert calls == {"query1_metrics": 1, "chain_metrics": 1, "run_replication": 2}
 
     def test_chain_covers_joint_and_unbounded_thresholds(self, tmp_path):
         cfg = BASE_CONFIG.replace("type = fcfs", "type = joint-mn\nm = 2\nn = 3") + (
@@ -238,7 +262,7 @@ class TestThresholdAxis:
     def test_each_point_sets_the_threshold(self, tmp_path, monkeypatch, cfg, expected):
         seen = []
         monkeypatch.setattr(experiment, "_engine_rows",
-                            lambda engine, policy, params: seen.append(policy) or [])
+                            lambda source, policy, params: seen.append(policy) or [])
         spec = parse_config(write_config(tmp_path, cfg))
         run_experiment(spec)
         if expected is None:  # a rate sweep passes the parsed policy object itself
@@ -549,12 +573,35 @@ class TestCliCommands:
         assert code == 0
         assert "agreement within 2 CI half-widths" in out
 
+    def test_compare_unstable_exits_1_before_simulating(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("compare simulated an unstable point")
+        monkeypatch.setattr(experiment, "simulate_policies", refuse)
+        code = cli.main(["compare", "--policy", "fcfs", "--lambda-u", "0.7",
+                         "--lambda-q", "0.4"])
+        assert code == 1
+        assert "unstable" in capsys.readouterr().err
+
     def test_compare_one_replication_exits_1(self, capsys):
         code = cli.main(["compare", "--policy", "query-k", "--k", "1",
                          "--lambda-u", "0.5", "--lambda-q", "0.1",
                          "--horizon", "200", "--reps", "1"])
         assert code == 1
         assert "needs two replications" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", "3")],
+                             ids=["default", "user-set"])
+    def test_one_blas_thread_unless_set(self, preset, expected):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        code = "import os, freshsched; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == expected
 
     def test_python_m_freshsched(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -564,10 +611,15 @@ class TestCliCommands:
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: freshsched")
 
-    def test_compare_joint_has_chain_column(self, capsys):
-        code = cli.main(["compare", "--policy", "joint-mn", "--m", "2", "--n", "3",
-                         "--lambda-u", "0.5", "--lambda-q", "0.1",
-                         "--horizon", "2000", "--reps", "4"])
-        out = capsys.readouterr().out
+    @pytest.mark.parametrize("policy, sources", [
+        (["fcfs"], ["analytic"]),
+        (["query-k", "--k", "1"], ["analytic", "ctmc"]),
+        (["joint-mn", "--m", "2", "--n", "3"], ["ctmc"]),
+    ], ids=["fcfs", "query1", "joint"])
+    def test_compare_header_lists_the_exact_sources(self, capsys, policy, sources):
+        code = cli.main(["compare", "--policy", *policy, "--lambda-u", "0.5",
+                         "--lambda-q", "0.1", "--horizon", "2000", "--reps", "4"])
+        header = capsys.readouterr().out.splitlines()[0].split()
         assert code == 0
-        assert "ctmc" in out.splitlines()[0]
+        assert header == ["metric", "sim", "mean", "ci"] + [
+            word for source in sources for word in (source, "agree")]
