@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 from . import ctmc
-from .model import (JobClass, JointMN, ModelParams, QueryK, UpdateK,
+from .model import (Fcfs, JobClass, ModelParams, QueryK, UpdateK,
                     conservation_rhs,  # noqa: F401  (re-exported)
                     stability_guard)
 from .policy import policy_columns
@@ -41,15 +41,21 @@ def paoi_from_update_system_time(params: ModelParams, expected_t_u: float) -> fl
     return 1.0 / params.lambda_u + expected_t_u
 
 
+def _closed_form(policy, params: ModelParams, t_q: float, t_u: float) -> ClosedFormResult:
+    """The result of a closed form for ``policy`` from its system times; the
+    queue lengths follow by Little's law."""
+    return ClosedFormResult(
+        policy_columns(policy)[0], params, t_q, t_u, paoi_from_update_system_time(params, t_u),
+        expected_nq=params.lambda_q * t_q, expected_nu=params.lambda_u * t_u)
+
+
 def fcfs_metrics(params: ModelParams) -> ClosedFormResult:
     stability_guard(params)
     rho_u, rho_q = params.rho_u, params.rho_q
     denom = 1.0 - rho_u - rho_q
     t_q = (rho_u / params.mu_u + (1.0 - rho_u) / params.mu_q) / denom
     t_u = (rho_q / params.mu_q + (1.0 - rho_q) / params.mu_u) / denom
-    return ClosedFormResult(
-        "fcfs", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=params.lambda_q * t_q, expected_nu=params.lambda_u * t_u)
+    return _closed_form(Fcfs(), params, t_q, t_u)
 
 
 def priority_system_time(params: ModelParams,
@@ -81,9 +87,7 @@ def query1_metrics(params: ModelParams) -> ClosedFormResult:
     order = (JobClass.QUERY, JobClass.UPDATE)
     t_q = priority_system_time(params, order, 1)
     t_u = priority_system_time(params, order, 2)
-    return ClosedFormResult(
-        "query-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=params.lambda_q * t_q, expected_nu=params.lambda_u * t_u)
+    return _closed_form(QueryK(1), params, t_q, t_u)
 
 
 def update1_metrics(params: ModelParams) -> ClosedFormResult:
@@ -91,9 +95,7 @@ def update1_metrics(params: ModelParams) -> ClosedFormResult:
     order = (JobClass.UPDATE, JobClass.QUERY)
     t_u = priority_system_time(params, order, 1)
     t_q = priority_system_time(params, order, 2)
-    return ClosedFormResult(
-        "update-k", params, t_q, t_u, paoi_from_update_system_time(params, t_u),
-        expected_nq=params.lambda_q * t_q, expected_nu=params.lambda_u * t_u)
+    return _closed_form(UpdateK(1), params, t_q, t_u)
 
 
 def chain_metrics(params: ModelParams, policy) -> ClosedFormResult:
@@ -116,7 +118,3 @@ def query_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
 
 def update_k_metrics(params: ModelParams, k: "int | float") -> ClosedFormResult:
     return chain_metrics(params, UpdateK(k))
-
-
-def joint_mn_metrics(params: ModelParams, m: "int | float", n: "int | float") -> ClosedFormResult:
-    return chain_metrics(params, JointMN(m, n))

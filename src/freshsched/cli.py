@@ -14,7 +14,9 @@ from typing import List, Optional
 
 from . import analytic, ctmc, experiment, svgplot
 from .config import ParseError, ValidationError, build_policy, parse_config, parse_threshold
-from .model import NonFiniteRate, NonPositiveRate, Unstable, stability_guard, validate_params
+from .model import (POLICY_TYPES, Fcfs, NonFiniteRate, NonPositiveRate, Unstable,
+                    stability_guard, validate_params)
+from .policy import policy_columns
 from .simulator import SimConfig
 
 EXIT_OK = 0
@@ -203,20 +205,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form metrics (FCFS, Query-1, Update-1)")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("fcfs", "query-k", "update-k"))
+    _add_policy_flags(p, tuple(policy_columns(policy)[0] for policy in experiment.CLOSED_FORMS))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_exact, source="analytic")
 
     p = sub.add_parser("solve", help="Markov-chain steady state for Query-k, Update-k "
                                      "and Joint-(m, n)")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("query-k", "update-k", "joint-mn"))
+    _add_policy_flags(p, tuple(name for name, kind in POLICY_TYPES.items() if kind is not Fcfs))
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_exact, source="ctmc")
 
     p = sub.add_parser("simulate", help="run replications of one policy")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("fcfs", "query-k", "update-k", "joint-mn"))
+    _add_policy_flags(p, tuple(POLICY_TYPES))
     _add_sim_flags(p)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_simulate)
@@ -229,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="engine agreement at one operating point")
     _add_rate_flags(p)
-    _add_policy_flags(p, ("fcfs", "query-k", "update-k", "joint-mn"))
+    _add_policy_flags(p, tuple(POLICY_TYPES))
     _add_sim_flags(p)
     p.set_defaults(func=_cmd_compare)
 

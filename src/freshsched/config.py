@@ -8,11 +8,13 @@ threshold out and each point sets it.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .model import (
+    POLICY_TYPES,
     UNBOUNDED,
     Fcfs,
     JointMN,
@@ -39,8 +41,8 @@ class ValidationError(ValueError):
 ENGINES = {"closed_form": "analytic", "ctmc": "ctmc", "simulation": "sim", "all": "all"}
 SWEEPABLE_RATES = ("lambda_u", "lambda_q", "mu_u", "mu_q")
 THRESHOLD_AXES = ("k", "m", "n")
-_POLICY_THRESHOLDS = {"fcfs": (), "query-k": ("k",), "update-k": ("k",),
-                      "joint-mn": ("m", "n")}
+_POLICY_THRESHOLDS = {name: tuple(field.name for field in dataclasses.fields(kind))
+                      for name, kind in POLICY_TYPES.items()}
 
 _KNOWN_KEYS = {
     "model": {"lambda_u", "lambda_q", "mu_u", "mu_q"},
@@ -124,28 +126,17 @@ def _read_sections(path: str) -> Dict[str, Dict[str, Tuple[str, int]]]:
     return sections
 
 
-def _get_float(path, section, key, default=None):
+def _get(path, section, key, cast, default=None):
     if key not in section:
         if default is None:
             raise ValidationError(f"{path}: missing required key {key!r}")
         return default
     value, line_no = section[key]
     try:
-        return float(value)
+        return cast(value)
     except ValueError:
-        raise ParseError(path, line_no, f"{key} = {value!r} is not a number") from None
-
-
-def _get_int(path, section, key, default=None):
-    if key not in section:
-        if default is None:
-            raise ValidationError(f"{path}: missing required key {key!r}")
-        return default
-    value, line_no = section[key]
-    try:
-        return int(value)
-    except ValueError:
-        raise ParseError(path, line_no, f"{key} = {value!r} is not an integer") from None
+        noun = "an integer" if cast is int else "a number"
+        raise ParseError(path, line_no, f"{key} = {value!r} is not {noun}") from None
 
 
 def parse_threshold(text: str):
@@ -166,20 +157,16 @@ def _get_threshold(path, section, key):
 def build_policy(kind: str, k=None, m=None, n=None):
     """The policy of a type name; k, m and n are the thresholds it takes, and
     a threshold it does not take must be None."""
-    if kind not in _POLICY_THRESHOLDS:
+    if kind not in POLICY_TYPES:
         raise ValidationError(f"unknown policy type {kind!r}")
-    for key, value in (("k", k), ("m", m), ("n", n)):
-        if value is not None and key not in _POLICY_THRESHOLDS[kind]:
+    given = {"k": k, "m": m, "n": n}
+    takes = _POLICY_THRESHOLDS[kind]
+    for key, value in given.items():
+        if value is not None and key not in takes:
             raise ValidationError(f"policy {kind} takes no threshold {key}")
-    if kind == "fcfs":
-        return Fcfs()
-    if kind in ("query-k", "update-k"):
-        if k is None:
-            raise ValidationError(f"policy {kind} needs k")
-        return (QueryK if kind == "query-k" else UpdateK)(k)
-    if m is None or n is None:
-        raise ValidationError("policy joint-mn needs m and n")
-    return JointMN(m, n)
+    if any(given[key] is None for key in takes):
+        raise ValidationError(f"policy {kind} needs {' and '.join(takes)}")
+    return POLICY_TYPES[kind](*(given[key] for key in takes))
 
 
 def _build_policy(path: str, name: str, section,
@@ -214,7 +201,7 @@ def parse_config(path: str) -> ExperimentSpec:
     if "model" not in sections:
         raise ValidationError(f"{path}: missing [model] section")
     model = sections["model"]
-    rates = {key: _get_float(path, model, key) for key in SWEEPABLE_RATES}
+    rates = {key: _get(path, model, key, float) for key in SWEEPABLE_RATES}
     try:
         validate_params(rates["lambda_u"], rates["mu_u"], rates["lambda_q"], rates["mu_q"])
     except (NonPositiveRate, NonFiniteRate) as exc:
@@ -229,8 +216,8 @@ def parse_config(path: str) -> ExperimentSpec:
         axes = SWEEPABLE_RATES + THRESHOLD_AXES
         if rate not in axes:
             raise ValidationError(f"{path}: sweep rate {rate!r} not one of {axes}")
-        sweep = SweepAxis(rate, _get_float(path, sec, "start"),
-                          _get_float(path, sec, "stop"), _get_float(path, sec, "step"))
+        sweep = SweepAxis(rate, _get(path, sec, "start", float),
+                          _get(path, sec, "stop", float), _get(path, sec, "step", float))
         if not all(map(math.isfinite, (sweep.start, sweep.stop, sweep.step))):
             raise ValidationError(f"{path}: [sweep] start, stop and step must be finite")
         if sweep.step <= 0:
@@ -250,13 +237,13 @@ def parse_config(path: str) -> ExperimentSpec:
         raise ValidationError(f"{path}: no [policy.<name>] sections")
 
     sim_sec = sections.get("sim", {})
+    # read outside the try, so that a ParseError is not rewrapped as a ValidationError
+    values = (_get(path, sim_sec, "horizon", float, SimConfig.horizon),
+              _get(path, sim_sec, "warmup", float, SimConfig.warmup),
+              _get(path, sim_sec, "replications", int, SimConfig.replications),
+              _get(path, sim_sec, "seed", int, SimConfig.base_seed))
     try:
-        sim = SimConfig(
-            horizon=_get_float(path, sim_sec, "horizon", SimConfig.horizon),
-            warmup=_get_float(path, sim_sec, "warmup", SimConfig.warmup),
-            replications=_get_int(path, sim_sec, "replications", SimConfig.replications),
-            base_seed=_get_int(path, sim_sec, "seed", SimConfig.base_seed),
-        )
+        sim = SimConfig(*values)
     except ValueError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
 

@@ -13,7 +13,9 @@ do not depend on the level, so pi_{l+1} = pi_l R for l >= cap_u (Neuts,
 Matrix-Geometric Solutions, 1981). R comes from G by logarithmic reduction
 (Latouche & Ramaswami, J. Appl. Prob. 30, 1993), and levels 0..cap_u are one
 sparse solve. The phase truncation doubles until the mass on its band is
-below TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE.
+below TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE, and stops
+with NoConvergence once the band is below its tolerance but a doubling no
+longer halves the gap.
 
 `build_ctmc` and `solve_stationary` solve the chain truncated on both sides
 instead, with arrivals that would cross the truncation dropped. They are the
@@ -378,7 +380,7 @@ def solve(params: ModelParams, policy) -> QbdSolution:
     table = decision_table(policy)
     nxt = _next_positions(table)
     rhs = conservation_rhs(params)
-    c = max(16, 2 * table.cap_q)
+    c, previous_gap = max(16, 2 * table.cap_q), np.inf
     while True:
         _check_size(c, table.cap_u)
         nq, direct, band, residual, n_states = _solve_qbd(params, table, nxt, c)
@@ -386,7 +388,14 @@ def solve(params: ModelParams, policy) -> QbdSolution:
         gap = abs(direct - nu)
         if band < TAIL_TOLERANCE and gap < GAP_TOLERANCE * nu:
             break
-        c *= 2
+        # once the band has converged, a doubling shrinks a truncation error
+        # in the gap by orders of magnitude; a gap that holds is round-off,
+        # which 1 / (1 - rho) amplifies near rho = 1, and no c removes it
+        if band < TAIL_TOLERANCE and not gap < previous_gap / 2:
+            raise NoConvergence(
+                f"relative conservation gap {gap / nu:.3g} stopped shrinking at phase "
+                f"truncation {c} (band mass {band:.3g}); the tolerance is {GAP_TOLERANCE:g}")
+        c, previous_gap = 2 * c, gap
     if swap:
         return QbdSolution(nu, nq, gap, band, residual, (UNBOUNDED, c), n_states)
     return QbdSolution(nq, nu, gap, band, residual, (c, UNBOUNDED), n_states)

@@ -20,6 +20,9 @@ from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 METRICS = ("response_time", "paoi", "aoi", "nq", "nu")
 # the closed forms, the Markov chain and the simulator
 SOURCES = ("analytic", "ctmc", "sim")
+# every policy with a closed form, and the name of its function in `analytic`
+CLOSED_FORMS = {Fcfs(): "fcfs_metrics", QueryK(1): "query1_metrics",
+                UpdateK(1): "update1_metrics"}
 
 
 @dataclass(frozen=True)
@@ -47,10 +50,9 @@ CSV_HEADER = ",".join(field.name for field in dataclasses.fields(ResultRow))
 
 def applicable_sources(policy) -> List[str]:
     """The sources that compute ``policy``, in ``SOURCES`` order: the closed
-    forms cover FCFS, Query-1 and Update-1, the chain every thresholded
+    forms cover the policies of ``CLOSED_FORMS``, the chain every thresholded
     policy, and the simulator all."""
-    closed = isinstance(policy, Fcfs) or (isinstance(policy, (QueryK, UpdateK)) and policy.k == 1)
-    covered = (closed, not isinstance(policy, Fcfs), True)
+    covered = (policy in CLOSED_FORMS, not isinstance(policy, Fcfs), True)
     return [source for source, covers in zip(SOURCES, covered) if covers]
 
 
@@ -60,13 +62,9 @@ def exact_result(source: str, policy, params: ModelParams) -> analytic.ClosedFor
     set on the module sees every call."""
     if source == "ctmc":
         return analytic.chain_metrics(params, policy)
-    if isinstance(policy, Fcfs):
-        return analytic.fcfs_metrics(params)
-    if isinstance(policy, QueryK) and policy.k == 1:
-        return analytic.query1_metrics(params)
-    if isinstance(policy, UpdateK) and policy.k == 1:
-        return analytic.update1_metrics(params)
-    raise ValueError(f"no closed form for {policy!r}")
+    if policy not in CLOSED_FORMS:
+        raise ValueError(f"no closed form for {policy!r}")
+    return getattr(analytic, CLOSED_FORMS[policy])(params)
 
 
 def metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float]]:

@@ -126,6 +126,11 @@ class JointMN:
             raise ValueError("JointMN with both thresholds unbounded never switches")
 
 
+# every policy type by its name in configs, on the command line and in the
+# CSV; a type's dataclass fields are the thresholds it takes
+POLICY_TYPES = {"fcfs": Fcfs, "query-k": QueryK, "update-k": UpdateK, "joint-mn": JointMN}
+
+
 class JobClass(enum.Enum):
     UPDATE = "update"
     QUERY = "query"

@@ -13,7 +13,7 @@ import enum
 import functools
 from typing import NamedTuple, Tuple
 
-from .model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
+from .model import POLICY_TYPES, UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 
 
 class ServerPosition(enum.IntEnum):
@@ -96,15 +96,13 @@ def thresholds(policy) -> tuple:
     raise TypeError(f"unknown policy {policy!r}")
 
 
+_POLICY_NAMES = {kind: name for name, kind in POLICY_TYPES.items()}
+
+
 def policy_columns(policy) -> tuple:
     """(name, m, n, k) columns of a policy in the CSV."""
-    if isinstance(policy, Fcfs):
-        return "fcfs", None, None, None
-    if isinstance(policy, QueryK):
-        return "query-k", None, None, policy.k
-    if isinstance(policy, UpdateK):
-        return "update-k", None, None, policy.k
-    return "joint-mn", policy.m, policy.n, None
+    return (_POLICY_NAMES[type(policy)],) + tuple(
+        getattr(policy, key, None) for key in ("m", "n", "k"))
 
 
 def _decide_joint(m, n, state, trigger, n_q, n_u) -> SchedulerState:

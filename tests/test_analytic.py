@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from freshsched import ctmc
 from freshsched.analytic import (
+    chain_metrics,
     conservation_rhs,
     fcfs_metrics,
-    joint_mn_metrics,
     paoi_from_update_system_time,
     priority_system_time,
     query1_metrics,
@@ -207,9 +207,9 @@ class TestThresholdChainMetrics:
 class TestJointChain:
     def test_joint_inf_k_is_query_k(self):
         p = params(0.5, 0.1)
-        joint = joint_mn_metrics(p, UNBOUNDED, 3)
+        joint = chain_metrics(p, JointMN(UNBOUNDED, 3))
         assert dataclasses.replace(joint, policy="query-k") == query_k_metrics(p, 3)
-        joint = joint_mn_metrics(p, 3, UNBOUNDED)
+        joint = chain_metrics(p, JointMN(3, UNBOUNDED))
         assert dataclasses.replace(joint, policy="update-k") == update_k_metrics(p, 3)
 
     def test_unbounded_query_k_is_unbounded_update_k(self):
@@ -222,7 +222,7 @@ class TestJointChain:
     @pytest.mark.parametrize("m, n", [(3, 3), (1, 5)])
     def test_joint_chain_conserves_work_and_matches_simulation(self, m, n):
         p = params(1 / 3, 1 / 3)
-        chain = joint_mn_metrics(p, m, n)
+        chain = chain_metrics(p, JointMN(m, n))
         assert chain.conservation_gap / chain.expected_nu < 1e-9
         assert chain.tail_mass < 1e-8
         sim = SimConfig(20000, 0.0, 10, 1)
@@ -241,7 +241,7 @@ class TestJointChain:
         # side at twice the decision table's cap of 65, and a large m puts
         # the boundary at that cap
         p = params(1 / 3, 1 / 3)
-        joint = joint_mn_metrics(p, m, n)
+        joint = chain_metrics(p, JointMN(m, n))
         alone = single(p, 3)
         for field in ("expected_response_time", "expected_update_system_time",
                       "expected_paoi"):

@@ -12,11 +12,13 @@ from freshsched.config import (
     PolicyRun,
     SweepAxis,
     ValidationError,
+    build_policy,
     parse_config,
     parse_threshold,
 )
 from freshsched.experiment import CSV_HEADER, ResultRow, emit_csv, read_csv, run_experiment
-from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
+from freshsched.model import POLICY_TYPES, UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
+from freshsched.policy import policy_columns
 from freshsched.simulator import SimConfig, draw_jobs
 from freshsched.svgplot import NoData, emit_plot
 
@@ -67,6 +69,30 @@ class TestParseConfig:
         with pytest.raises(ParseError) as exc:
             parse_config(write_config(tmp_path, bad))
         assert ":2:" in str(exc.value) and "lamda_u" in str(exc.value)
+
+    @pytest.mark.parametrize("old, new, line, text", [
+        ("lambda_u = 0.5", "lambda_u = abc", 2, "lambda_u = 'abc' is not a number"),
+        ("replications = 2", "replications = 2.5", 12,
+         "replications = '2.5' is not an integer"),
+    ], ids=["float", "int"])
+    def test_non_number_reports_line_number(self, tmp_path, old, new, line, text):
+        with pytest.raises(ParseError) as exc:
+            parse_config(write_config(tmp_path, replace_each(BASE_CONFIG, (old, new))))
+        assert exc.value.line_no == line
+        assert f":{line}: {text}" in str(exc.value)
+
+    @pytest.mark.parametrize("name, thresholds, columns", [
+        ("fcfs", {}, ("fcfs", None, None, None)),
+        ("query-k", {"k": 2}, ("query-k", None, None, 2)),
+        ("update-k", {"k": UNBOUNDED}, ("update-k", None, None, UNBOUNDED)),
+        ("joint-mn", {"m": 3, "n": UNBOUNDED}, ("joint-mn", 3, UNBOUNDED, None)),
+    ])
+    def test_policy_type_round_trips_through_the_csv_columns(self, name, thresholds, columns):
+        assert policy_columns(build_policy(name, **thresholds)) == columns
+
+    def test_every_policy_type_is_named(self):
+        # in the order of the command line's --policy choices
+        assert list(POLICY_TYPES) == ["fcfs", "query-k", "update-k", "joint-mn"]
 
     def test_unknown_section_rejected(self, tmp_path):
         with pytest.raises(ParseError):
@@ -148,6 +174,18 @@ class TestParseConfig:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("policy, sources", [
+        (Fcfs(), ["analytic", "sim"]),
+        (QueryK(1), ["analytic", "ctmc", "sim"]),
+        (UpdateK(1), ["analytic", "ctmc", "sim"]),
+        (QueryK(2), ["ctmc", "sim"]),
+        # the same chains as Query-1 and Update-1, but no closed form is keyed by them
+        (JointMN(UNBOUNDED, 1), ["ctmc", "sim"]),
+        (JointMN(1, UNBOUNDED), ["ctmc", "sim"]),
+    ], ids=repr)
+    def test_applicable_sources(self, policy, sources):
+        assert experiment.applicable_sources(policy) == sources
+
     def test_row_count_is_predictable(self, tmp_path):
         cfg = BASE_CONFIG + ("\n[policy.q1]\ntype = query-k\nk = 1\n"
                              "\n[sweep]\nrate = lambda_u\nstart = 0.2\nstop = 0.6\nstep = 0.2\n")
@@ -174,17 +212,22 @@ class TestRunExperiment:
         assert all(r.source == "sim" and r.status == "ok" for r in rows)
 
     def test_engines_are_reached_through_module_attributes(self, tmp_path, monkeypatch):
-        # the benchmark times the engines by wrapping these module attributes
-        calls = dict.fromkeys(("query1_metrics", "chain_metrics", "run_replication"), 0)
-        for module, name in ((analytic, "query1_metrics"), (analytic, "chain_metrics"),
-                             (experiment, "run_replication")):
+        # the benchmark times the engines by wrapping these module attributes,
+        # and `experiment.CLOSED_FORMS` names the closed forms by attribute
+        hooks = ((analytic, "fcfs_metrics"), (analytic, "query1_metrics"),
+                 (analytic, "update1_metrics"), (analytic, "chain_metrics"),
+                 (experiment, "run_replication"))
+        calls = dict.fromkeys((name for _module, name in hooks), 0)
+        for module, name in hooks:
             def counted(*args, _name=name, _inner=getattr(module, name)):
                 calls[_name] += 1
                 return _inner(*args)
             monkeypatch.setattr(module, name, counted)
-        cfg = BASE_CONFIG.replace("type = fcfs", "type = query-k\nk = 1")
+        cfg = BASE_CONFIG + ("\n[policy.q1]\ntype = query-k\nk = 1\n"
+                             "\n[policy.u1]\ntype = update-k\nk = 1\n")
         run_experiment(parse_config(write_config(tmp_path, cfg)))
-        assert calls == {"query1_metrics": 1, "chain_metrics": 1, "run_replication": 2}
+        assert calls == {"fcfs_metrics": 1, "query1_metrics": 1, "update1_metrics": 1,
+                         "chain_metrics": 2, "run_replication": 3 * 2}
 
     def test_chain_covers_joint_and_unbounded_thresholds(self, tmp_path):
         cfg = BASE_CONFIG.replace("type = fcfs", "type = joint-mn\nm = 2\nn = 3") + (
@@ -394,6 +437,22 @@ class TestCliCommands:
             cli.main(argv)
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--policy", "fcfs"],
+        ["analyze", "--policy", "joint-mn", "--m", "2", "--n", "2"],
+    ], ids=["solve-fcfs", "analyze-joint"])
+    def test_policy_without_the_engine_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--lambda-u", "0.3", "--lambda-q", "0.4"])
+        assert exc.value.code == 1
+        assert "--policy: invalid choice" in capsys.readouterr().err
+
+    def test_analyze_without_a_closed_form_exits_1(self, capsys):
+        code = cli.main(["analyze", "--policy", "query-k", "--k", "2",
+                         "--lambda-u", "0.3", "--lambda-q", "0.4"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no closed form for QueryK(k=2)\n"
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

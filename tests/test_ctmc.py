@@ -239,3 +239,18 @@ class TestQbdSolve:
         # one phase: up at rate 2, down at rate 1
         with pytest.raises(NoConvergence, match="drifts up"):
             ctmc._check_drift(np.array([[2.0]]), np.array([[-3.0]]), np.array([[1.0]]))
+
+    def test_a_stalled_conservation_gap_stops_the_doubling(self, monkeypatch):
+        # at rho = 0.99999 the band is below 1e-9 from c = 32 on, but round-off,
+        # which 1 / (1 - rho) amplifies, holds the relative gap at 1.49e-6 from
+        # c = 64 on; doubling on to the phase cap took over two minutes
+        inner, rounds = ctmc._solve_qbd, []
+
+        def counted(params, table, nxt, c):
+            rounds.append(c)
+            assert len(rounds) <= 4, f"solved again at c = {c} after the gap stalled"
+            return inner(params, table, nxt, c)
+
+        monkeypatch.setattr(ctmc, "_solve_qbd", counted)
+        with pytest.raises(NoConvergence, match="stopped shrinking"):
+            ctmc.solve(validate_params(0.5, 1, 0.49999, 1), QueryK(2))
