@@ -6,17 +6,31 @@ run on the same seed sees identical jobs (common random numbers). `draw_jobs`
 draws them in blocks before the event loop: arrival epochs through the first
 one past the horizon, and one service requirement per arrival, in arrival
 order. It keeps the last replication's jobs, so policies run back to back on
-one replication (as `experiment` runs them) draw its jobs once. The event loop
-copies the service requirements before writing remaining work. Within a class
-service is FIFO preempt-resume, so each queue is a head index into its class's
-lists and only the head can be part-served. Switching decisions are read from
-`policy.decision_table`. After the loop, `age_metrics` makes one pass over the
-update lists for the age integral and the peak-age samples.
+one replication (as `experiment` runs them) draw its jobs once.
+
+The event loop only moves the state machine. It picks the next event, reads
+the switching decision from `policy.decision_table`, moves the queue counts
+and heads, banks the remaining work of a preempted head and records each
+departure epoch. Within a class service is FIFO preempt-resume, so each queue
+is a head index into its class's lists and only the head can be part-served;
+the loop copies the service requirements before writing remaining work.
+
+Every metric is computed after the loop, in numpy, from the arrival and
+departure epochs. `occupancy` merges the epochs in time order and steps the
+n_q and n_u integrals and the busy time from one event to the next, as the
+loop would. `age_metrics` gives the age integral and the peak-age samples,
+and `_system_times` the system times of each class. Every sum adds its terms
+left to right with `np.cumsum`, in the order a loop adds them, so each sum
+equals the loop's to the bit; `np.sum` adds pairwise and `math.fsum` exactly,
+and either would move last bits. The age areas square as `x * x`. A loop's
+`x ** 2` calls libm's pow, which is not correctly rounded on every input, so
+the mean age can differ from a loop's in its last bits.
 """
 from __future__ import annotations
 
 import math
 import statistics
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
@@ -112,11 +126,44 @@ def draw_jobs(params: ModelParams, config: SimConfig,
             tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1)))
 
 
-def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> float:
-    """Integral of the age t - g over (t0, t1] clipped to (warmup, horizon]."""
-    a = warmup if warmup > t0 else t0
-    b = horizon if horizon < t1 else t1
-    return ((b - g) ** 2 - (a - g) ** 2) / 2.0 if b > a else 0.0
+_arrival_arrays_memo: tuple = (None, None)
+
+
+def _arrival_arrays(jobs) -> Tuple[np.ndarray, np.ndarray]:
+    """The update and query arrival epochs of ``jobs`` as arrays.
+
+    It keeps the arrays of the last ``jobs`` it was given, matched by
+    identity: `draw_jobs` hands every policy of a replication the same tuple,
+    so each replication's epochs are converted once.
+    """
+    global _arrival_arrays_memo
+    if _arrival_arrays_memo[0] is not jobs:
+        _arrival_arrays_memo = (jobs, (np.array(jobs[0]), np.array(jobs[1])))
+    return _arrival_arrays_memo[1]
+
+
+def _sum_in_order(terms: np.ndarray) -> float:
+    """The sum of ``terms`` added left to right, as a loop adds them; 0.0 if
+    there are none. It overwrites ``terms`` with the running sums.
+
+    ``np.cumsum`` adds in that order. ``np.sum`` adds pairwise and
+    ``math.fsum`` exactly, and either would move last bits.
+    """
+    return float(np.cumsum(terms, out=terms)[-1]) if len(terms) else 0.0
+
+
+def _age_areas(g, t0, t1, warmup: float, horizon: float) -> np.ndarray:
+    """Integrals of the age t - g over (t0, t1] clipped to (warmup, horizon].
+
+    The squares are ``x * x``: ``x ** 2`` calls libm's pow, which is not
+    correctly rounded on every input.
+    """
+    a = np.maximum(t0, warmup)
+    b = np.minimum(t1, horizon)
+    kept = b > a
+    a -= g
+    b -= g
+    return np.where(kept, (b * b - a * a) / 2.0, 0.0)
 
 
 def age_metrics(generations: Sequence[float], departures: Sequence[float],
@@ -131,20 +178,55 @@ def age_metrics(generations: Sequence[float], departures: Sequence[float],
     (inter-arrival) + (system time) from the raw timestamps, the defining
     decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012).
     """
-    g = last = integral = 0.0  # freshest delivered generation, its delivery
-    samples: List[float] = []
-    for generation, now in zip(generations, departures):
-        if generation > now:
+    now = np.asarray(departures, dtype=float)
+    generation = np.asarray(generations, dtype=float)[:len(now)]
+    # from each delivery to the next, then from the last one to the horizon:
+    # the freshest delivered generation and the ends, all 0 before the first
+    g = np.concatenate(([0.0], generation))
+    t = np.concatenate(([0.0], now, [horizon]))
+    bad = np.flatnonzero((generation > now) | (generation < g[:-1]))
+    if bad.size:
+        i = bad[0]
+        if generation[i] > now[i]:
             raise ValueError("generation_time after departure time")
-        if generation < g:
-            raise OutOfOrderDeparture(
-                f"update generated at {generation} delivered after one from {g}")
-        integral += _age_area(g, last, now, warmup, horizon)
-        if warmup < now <= horizon:
-            samples.append((generation - g) + (now - generation))
-        g, last = generation, now
-    integral += _age_area(g, last, horizon, warmup, horizon)
-    return integral, samples
+        raise OutOfOrderDeparture(f"update generated at {float(generation[i])} "
+                                  f"delivered after one from {float(g[i])}")
+    in_window = (now > warmup) & (now <= horizon)
+    samples = ((generation - g[:-1]) + (now - generation))[in_window].tolist()
+    return _sum_in_order(_age_areas(g, t[:-1], t[1:], warmup, horizon)), samples
+
+
+def occupancy(arrive_q, depart_q, arrive_u, depart_u,
+              warmup: float, horizon: float) -> Tuple[float, float, float]:
+    """Time integrals of n_q and n_u over (warmup, horizon], and the busy time
+    over (0, horizon], from the epochs of the arrivals inside the horizon and
+    of the departures.
+
+    The epochs are merged in time order and the counts stepped from one event
+    to the next, as the event loop moved them. Tied epochs bound intervals of
+    length 0, which add 0.0, so the order of tied events does not matter.
+    Every policy is work-conserving, so the server is busy iff a queue is
+    nonempty.
+    """
+    # time 0, the events, then the horizon, which ends the last interval
+    epochs = np.concatenate(([0.0], arrive_q, depart_q, arrive_u, depart_u, [horizon]))
+    order = np.argsort(epochs, kind="stable")
+    sizes = (1, len(arrive_q), len(depart_q), len(arrive_u), len(depart_u), 1)
+    # the counts from each epoch to the next
+    n_q, n_u = (np.cumsum(np.repeat(np.array(steps, np.int8), sizes)[order[:-1]],
+                          dtype=np.int32)
+                for steps in ((0, 1, -1, 0, 0, 0), (0, 0, 0, 1, -1, 0)))
+    t = epochs[order]
+    del epochs, order  # freed before the arrays of the intervals are made
+    start, end = t[:-1], t[1:]
+    # each interval's part after the warmup, written in place
+    dt = np.maximum(start, warmup)
+    np.subtract(end, dt, out=dt)
+    np.maximum(dt, 0.0, out=dt)
+    nq_integral, nu_integral = _sum_in_order(n_q * dt), _sum_in_order(n_u * dt)
+    busy = np.subtract(end, start, out=dt)
+    busy[n_q + n_u == 0] = 0.0
+    return nq_integral, nu_integral, _sum_in_order(busy)
 
 
 @dataclass
@@ -160,15 +242,12 @@ class ReplicationDetail:
     residual_work: float
 
 
-def _system_times(arrivals: Sequence[float], departures: Sequence[float],
+def _system_times(arrivals: np.ndarray, departures: np.ndarray,
                   warmup: float) -> Tuple[int, float]:
     """Count and sum of the system times of the jobs that departed after warmup."""
-    n, total = 0, 0.0
-    for arrival, departure in zip(arrivals, departures):
-        if departure > warmup:
-            n += 1
-            total += departure - arrival
-    return n, total
+    after = departures > warmup
+    times = (departures - arrivals[:len(departures)])[after]
+    return len(times), _sum_in_order(times)
 
 
 def run_replication(params: ModelParams, policy, config: SimConfig,
@@ -186,12 +265,14 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
     horizon, warmup = config.horizon, config.warmup
-    # each class: arrival epochs (the last one past the horizon), service
-    # requirements, remaining work (written on preemption) and departure epochs
-    arrive_u, arrive_q, work_u, work_q = draw_jobs(params, config, rep_index)
+    # each class: arrival epochs (the last one past the horizon, also as an
+    # array), service requirements, remaining work (written on preemption)
+    # and departure epochs
+    jobs = draw_jobs(params, config, rep_index)
+    arrive_u, arrive_q, work_u, work_q = jobs
+    at_u, at_q = _arrival_arrays(jobs)
     remain_u, remain_q = list(work_u), list(work_q)
-    depart_u: List[float] = []
-    depart_q: List[float] = []
+    depart_u, depart_q = array("d"), array("d")
     cap_q, cap_u, table = decision_table(policy)
 
     n_q = n_u = 0  # queue lengths
@@ -199,27 +280,16 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     next_u, next_q = arrive_u[0], arrive_q[0]
     pos = Z_IDLE
     completion = math.inf
-    t = 0.0
-    nq_integral = nu_integral = busy_time = 0.0
 
     while True:
         if completion <= next_u and completion <= next_q:
-            te = completion
+            t = completion
         elif next_u <= next_q:  # simultaneous arrivals serve the update first
-            te = next_u
+            t = next_u
         else:
-            te = next_q
-        cut = te if te <= horizon else horizon
-        if cut > warmup:
-            dt = cut - (t if t > warmup else warmup)
-            if dt > 0:
-                nq_integral += n_q * dt
-                nu_integral += n_u * dt
-        if pos != Z_IDLE:
-            busy_time += cut - t
-        if te > horizon:
+            t = next_q
+        if t > horizon:
             break
-        t = te
         rules = table[pos]
         i = n_q if n_q < cap_q else cap_q
         j = n_u if n_u < cap_u else cap_u
@@ -261,9 +331,12 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
                 completion = math.inf
             pos = new
 
-    resp_n, resp_sum = _system_times(arrive_q, depart_q, warmup)
-    completed_updates, usys_sum = _system_times(arrive_u, depart_u, warmup)
-    age_integral, paoi_samples = age_metrics(arrive_u, depart_u, warmup, horizon)
+    done_u, done_q = np.frombuffer(depart_u), np.frombuffer(depart_q)
+    resp_n, resp_sum = _system_times(at_q, done_q, warmup)
+    completed_updates, usys_sum = _system_times(at_u, done_u, warmup)
+    nq_integral, nu_integral, busy_time = occupancy(at_q[:-1], done_q, at_u[:-1], done_u,
+                                                    warmup, horizon)
+    age_integral, paoi_samples = age_metrics(at_u, done_u, warmup, horizon)
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(
