@@ -12,10 +12,9 @@ import os
 import sys
 from typing import List, Optional
 
-from . import analytic, ctmc, experiment, svgplot
-from .config import ParseError, ValidationError, build_policy, parse_config, parse_threshold
-from .model import (POLICY_TYPES, Fcfs, NonFiniteRate, NonPositiveRate, Unstable,
-                    stability_guard, validate_params)
+from . import ctmc, experiment, svgplot
+from .config import ValidationError, build_policy, parse_config, parse_threshold
+from .model import POLICY_TYPES, ExactResult, Fcfs, stability_guard, validate_params
 from .policy import policy_columns
 from .simulator import SimConfig
 
@@ -82,18 +81,16 @@ def _sim_config(args) -> SimConfig:
                      _resolve_seed(args.seed, SimConfig.base_seed))
 
 
-def _print_result(result: analytic.ClosedFormResult) -> None:
+def _print_result(result: ExactResult) -> None:
     print(f"policy = {result.policy}")
     print(f"E[T_q] = {result.expected_response_time:.10g}")
     print(f"E[T_u] = {result.expected_update_system_time:.10g}")
     print(f"E[A] = {result.expected_paoi:.10g}")
-    if result.expected_nq is not None:
-        print(f"E[N_q] = {result.expected_nq:.10g}")
-        print(f"E[N_u] = {result.expected_nu:.10g}")
-    if result.tail_mass is not None:
+    print(f"E[N_q] = {result.expected_nq:.10g}")
+    print(f"E[N_u] = {result.expected_nu:.10g}")
+    if result.truncation is not None:  # the chain's diagnostics
         print(f"truncated tail mass = {result.tail_mass:.3g}")
         print(f"balance residual = {result.residual:.3g}")
-    if result.truncation is not None:
         c_q, c_u = result.truncation
         print(f"truncation = {c_q} x {c_u} ({result.n_states} boundary states)")
 
@@ -255,8 +252,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ParseError, ValidationError, NonPositiveRate, NonFiniteRate,
-            Unstable, svgplot.NoData, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -35,10 +35,10 @@ import scipy.sparse.linalg as spla
 # after scipy.sparse: imported first, scipy.linalg adds about 17 ms to start-up
 import scipy.linalg as la
 
-from .model import (UNBOUNDED, Fcfs, JointMN, ModelParams, conservation_rhs,
-                    stability_guard)
+from .model import (UNBOUNDED, ExactResult, Fcfs, JointMN, ModelParams, conservation_rhs,
+                    paoi_from_update_system_time, stability_guard)
 from .policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, Z_IDLE, Z_QUERY, Z_UPDATE,
-                     decision_table, thresholds)
+                     decision_table, policy_columns, thresholds)
 
 TAIL_TOLERANCE = 1e-8
 RESIDUAL_TOLERANCE = 1e-10
@@ -223,25 +223,6 @@ def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)
 
 
-@dataclass(frozen=True)
-class QbdSolution:
-    """Stationary moments of a thresholded policy's chain, from `solve`.
-
-    The level's queue length comes from the conservation law, and
-    ``conservation_gap`` is its distance from the chain's direct moment.
-    ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
-    class swap. ``n_states`` counts the unknowns of the boundary solve.
-    """
-
-    expected_nq: float
-    expected_nu: float
-    conservation_gap: float
-    tail_mass: float
-    residual: float
-    truncation: Tuple[float, float]
-    n_states: int
-
-
 def _next_positions(table) -> np.ndarray:
     """The decision table as an int array indexed [z, trigger, n_q, n_u]."""
     return np.array([[[[-1 if v is None else v for v in row] for row in rule]
@@ -367,24 +348,31 @@ def _check_size(c: int, top: int) -> None:
             f"the caps are {MAX_PHASES} phases and {MAX_STATES} states")
 
 
-def solve(params: ModelParams, policy) -> QbdSolution:
-    """Stationary moments of a thresholded policy by one QBD solve for each
-    phase truncation, doubled from twice the table's cap on n_q."""
+def solve(params: ModelParams, policy) -> ExactResult:
+    """A thresholded policy's steady state by one QBD solve for each phase
+    truncation, doubled from twice the table's cap on n_q.
+
+    The level's queue length comes from the conservation law, and
+    ``conservation_gap`` is its distance from the chain's direct moment.
+    ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
+    class swap. ``n_states`` counts the unknowns of the boundary solve.
+    Little's law at the given rates turns the swapped-back lengths into times.
+    """
     _reject_fcfs(policy)
     stability_guard(params)
     m, n = thresholds(policy)
     swap = m != UNBOUNDED == n
-    if swap:
-        params = ModelParams(params.lambda_q, params.mu_q, params.lambda_u, params.mu_u)
-        policy = JointMN(n, m)
-    table = decision_table(policy)
+    # the chain's rates and policy, with the classes swapped if need be
+    rates = (ModelParams(params.lambda_q, params.mu_q, params.lambda_u, params.mu_u)
+             if swap else params)
+    table = decision_table(JointMN(n, m) if swap else policy)
     nxt = _next_positions(table)
-    rhs = conservation_rhs(params)
+    rhs = conservation_rhs(rates)
     c, previous_gap = max(16, 2 * table.cap_q), np.inf
     while True:
         _check_size(c, table.cap_u)
-        nq, direct, band, residual, n_states = _solve_qbd(params, table, nxt, c)
-        nu = params.mu_u * (rhs - nq / params.mu_q)
+        nq, direct, band, residual, n_states = _solve_qbd(rates, table, nxt, c)
+        nu = rates.mu_u * (rhs - nq / rates.mu_q)
         gap = abs(direct - nu)
         if band < TAIL_TOLERANCE and gap < GAP_TOLERANCE * nu:
             break
@@ -396,6 +384,11 @@ def solve(params: ModelParams, policy) -> QbdSolution:
                 f"relative conservation gap {gap / nu:.3g} stopped shrinking at phase "
                 f"truncation {c} (band mass {band:.3g}); the tolerance is {GAP_TOLERANCE:g}")
         c, previous_gap = 2 * c, gap
+    truncation = (c, UNBOUNDED)
     if swap:
-        return QbdSolution(nu, nq, gap, band, residual, (UNBOUNDED, c), n_states)
-    return QbdSolution(nq, nu, gap, band, residual, (c, UNBOUNDED), n_states)
+        nq, nu, truncation = nu, nq, (UNBOUNDED, c)
+    t_u = nu / params.lambda_u
+    return ExactResult(policy_columns(policy)[0], nq / params.lambda_q, t_u,
+                       paoi_from_update_system_time(params, t_u), nq, nu,
+                       tail_mass=band, residual=residual, conservation_gap=gap,
+                       truncation=truncation, n_states=n_states)

@@ -13,7 +13,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import analytic, ctmc
 from .config import THRESHOLD_AXES, ExperimentSpec
-from .model import UNBOUNDED, Fcfs, ModelParams, QueryK, UpdateK, validate_params
+from .model import UNBOUNDED, ExactResult, Fcfs, ModelParams, QueryK, UpdateK, validate_params
 from .policy import policy_columns
 from .simulator import SimConfig, SummaryStats, aggregate, run_replication
 
@@ -56,18 +56,18 @@ def applicable_sources(policy) -> List[str]:
     return [source for source, covers in zip(SOURCES, covered) if covers]
 
 
-def exact_result(source: str, policy, params: ModelParams) -> analytic.ClosedFormResult:
+def exact_result(source: str, policy, params: ModelParams) -> ExactResult:
     """The steady-state result of ``policy`` from source "analytic" or "ctmc".
-    Each function is looked up on `analytic` at call time, so that a wrapper
+    Each function is looked up on its module at call time, so that a wrapper
     set on the module sees every call."""
     if source == "ctmc":
-        return analytic.chain_metrics(params, policy)
+        return ctmc.solve(params, policy)
     if policy not in CLOSED_FORMS:
         raise ValueError(f"no closed form for {policy!r}")
     return getattr(analytic, CLOSED_FORMS[policy])(params)
 
 
-def metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float]]:
+def metric_values(result: ExactResult) -> Dict[str, Optional[float]]:
     return {
         "response_time": result.expected_response_time,
         "paoi": result.expected_paoi,
@@ -78,7 +78,7 @@ def metric_values(result: analytic.ClosedFormResult) -> Dict[str, Optional[float
 
 
 def result_rows(policy, params: ModelParams, source: str,
-                result: "analytic.ClosedFormResult | None" = None,
+                result: "ExactResult | None" = None,
                 stats: "Dict[str, SummaryStats] | None" = None,
                 sim: "SimConfig | None" = None,
                 error: "str | None" = None) -> List[ResultRow]:

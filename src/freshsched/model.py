@@ -8,6 +8,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Tuple
 
 
 class NonPositiveRate(ValueError):
@@ -71,6 +72,11 @@ def conservation_rhs(params: ModelParams) -> float:
     stability_guard(params)
     return ((params.lambda_q / params.mu_q ** 2 + params.lambda_u / params.mu_u ** 2)
             / (1.0 - params.rho))
+
+
+def paoi_from_update_system_time(params: ModelParams, expected_t_u: float) -> float:
+    """Expected peak age = mean update inter-arrival + mean update system time."""
+    return 1.0 / params.lambda_u + expected_t_u
 
 
 # the threshold of a queue that never forces a switch; it compares above
@@ -172,3 +178,22 @@ class ReplicationMetrics:
     completed_queries: int
     completed_updates: int
     horizon: float
+
+
+@dataclass(frozen=True)
+class ExactResult:
+    """A policy's steady state from the closed forms or the chain; the chain
+    also fills its diagnostics (see `ctmc.solve`)."""
+
+    policy: str
+    expected_response_time: float
+    expected_update_system_time: float
+    expected_paoi: float
+    expected_nq: float
+    expected_nu: float
+    tail_mass: "float | None" = None
+    residual: "float | None" = None
+    conservation_gap: "float | None" = None
+    # the chain's (c_q, inf) or (inf, c_u) and its boundary's unknowns
+    truncation: "Tuple[float, float] | None" = None
+    n_states: "int | None" = None

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from freshsched import ctmc
 from freshsched.analytic import (
-    chain_metrics,
     conservation_rhs,
     fcfs_metrics,
     paoi_from_update_system_time,
@@ -169,6 +168,12 @@ class TestThresholdChainMetrics:
             # Update-k is solved as the mirrored Query-k chain
             assert u.truncation == q.truncation[::-1]
             assert u.n_states == q.n_states
+            # the swapped-back times are taken at the rates given to the solve
+            assert u.expected_update_system_time == pytest.approx(
+                q.expected_response_time, rel=1e-8)
+            assert u.expected_response_time == pytest.approx(
+                q.expected_update_system_time, rel=1e-8)
+            assert u.expected_paoi == 1 / lq + u.expected_update_system_time
 
     def test_long_queue_is_the_untruncated_level(self):
         p = params(0.85, 0.1)
@@ -207,9 +212,9 @@ class TestThresholdChainMetrics:
 class TestJointChain:
     def test_joint_inf_k_is_query_k(self):
         p = params(0.5, 0.1)
-        joint = chain_metrics(p, JointMN(UNBOUNDED, 3))
+        joint = ctmc.solve(p, JointMN(UNBOUNDED, 3))
         assert dataclasses.replace(joint, policy="query-k") == query_k_metrics(p, 3)
-        joint = chain_metrics(p, JointMN(3, UNBOUNDED))
+        joint = ctmc.solve(p, JointMN(3, UNBOUNDED))
         assert dataclasses.replace(joint, policy="update-k") == update_k_metrics(p, 3)
 
     def test_unbounded_query_k_is_unbounded_update_k(self):
@@ -222,7 +227,7 @@ class TestJointChain:
     @pytest.mark.parametrize("m, n", [(3, 3), (1, 5)])
     def test_joint_chain_conserves_work_and_matches_simulation(self, m, n):
         p = params(1 / 3, 1 / 3)
-        chain = chain_metrics(p, JointMN(m, n))
+        chain = ctmc.solve(p, JointMN(m, n))
         assert chain.conservation_gap / chain.expected_nu < 1e-9
         assert chain.tail_mass < 1e-8
         sim = SimConfig(20000, 0.0, 10, 1)
@@ -241,7 +246,7 @@ class TestJointChain:
         # side at twice the decision table's cap of 65, and a large m puts
         # the boundary at that cap
         p = params(1 / 3, 1 / 3)
-        joint = chain_metrics(p, JointMN(m, n))
+        joint = ctmc.solve(p, JointMN(m, n))
         alone = single(p, 3)
         for field in ("expected_response_time", "expected_update_system_time",
                       "expected_paoi"):

@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -215,7 +216,7 @@ class TestRunExperiment:
         # the benchmark times the engines by wrapping these module attributes,
         # and `experiment.CLOSED_FORMS` names the closed forms by attribute
         hooks = ((analytic, "fcfs_metrics"), (analytic, "query1_metrics"),
-                 (analytic, "update1_metrics"), (analytic, "chain_metrics"),
+                 (analytic, "update1_metrics"), (ctmc, "solve"),
                  (experiment, "run_replication"))
         calls = dict.fromkeys((name for _module, name in hooks), 0)
         for module, name in hooks:
@@ -227,7 +228,31 @@ class TestRunExperiment:
                              "\n[policy.u1]\ntype = update-k\nk = 1\n")
         run_experiment(parse_config(write_config(tmp_path, cfg)))
         assert calls == {"fcfs_metrics": 1, "query1_metrics": 1, "update1_metrics": 1,
-                         "chain_metrics": 2, "run_replication": 3 * 2}
+                         "solve": 2, "run_replication": 3 * 2}
+
+    def test_the_benchmark_finds_its_module_attributes(self):
+        # the names bench/workloads.py and bench/worker.py look up on the
+        # modules: `_patch_chain` wraps the first seven, `_check_chain_result`
+        # reads the tolerances, `_check_littles_law` pools the replications,
+        # `SweepUpdateLoad` wraps the experiment, cli and svgplot hooks and
+        # checks the CSV, and `record_trigger_trace` and `decide_ns` replay
+        # `policy.decide`; a missing one ends a benchmark run as run_failed
+        names = {
+            "analytic": ("fcfs_metrics", "query1_metrics", "update1_metrics",
+                         "query_k_metrics", "update_k_metrics"),
+            "ctmc": ("build_ctmc", "solve_stationary", "RESIDUAL_TOLERANCE", "TAIL_TOLERANCE"),
+            "simulator": ("aggregate", "littles_law_residual"),
+            "model": ("ReplicationMetrics", "validate_params", "QueryK", "UpdateK", "JointMN"),
+            "experiment": ("run_replication", "aggregate", "run_experiment", "emit_csv",
+                           "read_csv", "policy_columns"),
+            "cli": ("parse_config", "main"),
+            "config": ("parse_config",),
+            "svgplot": ("emit_plot",),
+            "policy": ("initial_state", "decide", "Trigger", "ServerPosition"),
+        }
+        missing = [f"{module}.{name}" for module, attrs in names.items() for name in attrs
+                   if not hasattr(importlib.import_module(f"freshsched.{module}"), name)]
+        assert missing == []
 
     def test_chain_covers_joint_and_unbounded_thresholds(self, tmp_path):
         cfg = BASE_CONFIG.replace("type = fcfs", "type = joint-mn\nm = 2\nn = 3") + (
