@@ -6,14 +6,25 @@ run on the same seed sees identical jobs (common random numbers). `draw_jobs`
 draws them in blocks before the event loop: arrival epochs through the first
 one past the horizon, and one service requirement per arrival, in arrival
 order. It keeps the last replication's jobs, so policies run back to back on
-one replication (as `experiment` runs them) draw its jobs once.
+one replication (as `experiment` runs them) draw its jobs once. A draw is
+-ln(u)/rate with libm's ``log``, mapped over the uniforms by ``math.log``;
+the negation, the division and the arrival epochs' running sum (``np.cumsum``,
+which adds left to right) are numpy's. ``np.log`` would be faster, but it is
+vectorised differently and moves the last bit of some draws (6972 of 2M
+uniforms on an AVX-512 Xeon), which would change every result.
 
-The event loop only moves the state machine. It picks the next event, reads
-the switching decision from `policy.decision_table`, moves the queue counts
-and heads, banks the remaining work of a preempted head and records each
-departure epoch. Within a class service is FIFO preempt-resume, so each queue
-is a head index into its class's lists and only the head can be part-served;
-the loop copies the service requirements before writing remaining work.
+The event loop only moves the state machine. Each event kind has one branch:
+a departure, which comes first, then an update arrival, then a query arrival,
+so simultaneous arrivals serve the update first. A branch checks the horizon
+itself, reads the switching decision from `policy.decision_table`, moves the
+queue counts and heads and, on a change of position, banks the remaining
+work of a preempted head. A position's rules are read from the table only
+when the position changes. A departure writes its epoch at the departing
+head's index into a preallocated array and starts the next job directly,
+since the departed head has no work to bank. Within a class service is FIFO
+preempt-resume, so each queue is a head index into its class's lists and
+only the head can be part-served; the loop copies the service requirements
+before writing remaining work.
 
 Every metric is computed after the loop, in numpy, from the arrival and
 departure epochs. `occupancy` merges the epochs in time order and steps the
@@ -31,10 +42,8 @@ from __future__ import annotations
 import math
 import statistics
 from array import array
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -67,38 +76,44 @@ class OutOfOrderDeparture(RuntimeError):
     """An update departed with an older generation time than one already delivered."""
 
 
-def exponential_draws(rate: float, stream, n: int) -> List[float]:
+def exponential_draws(rate: float, stream, n: int) -> np.ndarray:
     """n inverse-transform draws -ln(u)/rate with u uniform on (0, 1).
 
     The uniforms come in blocks from ``stream.random(size)``, and a zero is
     skipped, so the draws are those of n one-at-a-time draws that redraw a
-    zero. ``math.log`` keeps every value bit-identical to such a draw.
+    zero. ``math.log`` keeps every value bit-identical to such a draw, where
+    ``np.log`` would move the last bit of some.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
-    log = math.log
-    draws: List[float] = []
-    while len(draws) < n:
-        draws += [-log(u) / rate for u in stream.random(n - len(draws)).tolist() if u > 0.0]
+    u = stream.random(n)
+    u = u[u > 0.0]
+    while len(u) < n:
+        more = stream.random(n - len(u))
+        u = np.concatenate((u, more[more > 0.0]))
+    draws = np.fromiter(map(math.log, u.tolist()), float, n)
+    np.negative(draws, out=draws)
+    draws /= rate
     return draws
 
 
-def _arrival_epochs(rate: float, stream, horizon: float) -> List[float]:
+def _arrival_epochs(rate: float, stream, horizon: float) -> np.ndarray:
     """Poisson arrival epochs in (0, horizon], then the first one past it."""
     # four standard deviations over the mean count, so one block nearly
     # always reaches past the horizon
     mean = rate * horizon
     block = int(mean + 4.0 * math.sqrt(mean)) + 16
-    epochs = [0.0]
-    while epochs[-1] <= horizon:
+    blocks = []
+    last = 0.0
+    while last <= horizon:
         # a running sum carried across blocks, so each epoch is its
-        # predecessor plus one draw
-        sums = accumulate(exponential_draws(rate, stream, block), initial=epochs[-1])
-        next(sums)
-        epochs += sums
-    del epochs[bisect_right(epochs, horizon) + 1:]
-    del epochs[0]
-    return epochs
+        # predecessor plus one draw, added left to right
+        draws = exponential_draws(rate, stream, block)
+        draws[0] += last
+        blocks.append(np.cumsum(draws, out=draws))
+        last = draws[-1]
+    epochs = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]  # one block: no copy
+    return epochs[:np.searchsorted(epochs, horizon, side="right") + 1]
 
 
 def _rng_streams(base_seed: int, rep_index: int):
@@ -121,9 +136,9 @@ def draw_jobs(params: ModelParams, config: SimConfig,
     u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
     arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
     arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
-    return (tuple(arrive_u), tuple(arrive_q),
-            tuple(exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1)),
-            tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1)))
+    return (tuple(arrive_u.tolist()), tuple(arrive_q.tolist()),
+            tuple(exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1).tolist()),
+            tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1).tolist()))
 
 
 _arrival_arrays_memo: tuple = (None, None)
@@ -267,71 +282,85 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     horizon, warmup = config.horizon, config.warmup
     # each class: arrival epochs (the last one past the horizon, also as an
     # array), service requirements, remaining work (written on preemption)
-    # and departure epochs
+    # and departure epochs, written at the departing head's index
     jobs = draw_jobs(params, config, rep_index)
     arrive_u, arrive_q, work_u, work_q = jobs
     at_u, at_q = _arrival_arrays(jobs)
     remain_u, remain_q = list(work_u), list(work_q)
-    depart_u, depart_q = array("d"), array("d")
+    depart_u, depart_q = array("d", [0.0]) * len(work_u), array("d", [0.0]) * len(work_q)
     cap_q, cap_u, table = decision_table(policy)
+    # each position's rules on an update arrival, on a query arrival and on
+    # the departure of the job it serves, read again when the position changes
+    moves = [(rules[ARRIVE_U], rules[ARRIVE_Q], rules[DEPART_Q if z == Z_QUERY else DEPART_U])
+             for z, rules in enumerate(table)]
+    # the codes as locals, which the loop reads faster than globals
+    serve_q, serve_u, older_head, inf = Z_QUERY, Z_UPDATE, OLDER_HEAD, math.inf
 
     n_q = n_u = 0  # queue lengths
     h_q = h_u = 0  # index of each queue's head
     next_u, next_q = arrive_u[0], arrive_q[0]
     pos = Z_IDLE
-    completion = math.inf
+    on_u, on_q, on_done = moves[pos]
+    completion = inf
 
     while True:
-        if completion <= next_u and completion <= next_q:
-            t = completion
-        elif next_u <= next_q:  # simultaneous arrivals serve the update first
-            t = next_u
-        else:
-            t = next_q
-        if t > horizon:
-            break
-        rules = table[pos]
         i = n_q if n_q < cap_q else cap_q
         j = n_u if n_u < cap_u else cap_u
-
-        if t == completion:
-            if pos == Z_QUERY:
-                new = rules[DEPART_Q][i][j]
+        if completion <= next_u and completion <= next_q:
+            t = completion
+            if t > horizon:
+                break
+            new = on_done[i][j]
+            if pos == serve_q:
+                depart_q[h_q] = t
                 n_q -= 1
                 h_q += 1
-                depart_q.append(t)
             else:
-                new = rules[DEPART_U][i][j]
+                depart_u[h_u] = t
                 n_u -= 1
                 h_u += 1
-                depart_u.append(t)
-            if new == OLDER_HEAD:
-                new = Z_UPDATE if arrive_u[h_u] <= arrive_q[h_q] else Z_QUERY
-            pos = Z_IDLE
-            completion = math.inf
-        elif t == next_u:
-            new = rules[ARRIVE_U][i][j]
+            if new == older_head:
+                new = serve_u if arrive_u[h_u] <= arrive_q[h_q] else serve_q
+            # the departed head has no work to bank
+            if new == serve_q:
+                completion = t + remain_q[h_q]
+            elif new == serve_u:
+                completion = t + remain_u[h_u]
+            else:
+                completion = inf
+            if new != pos:
+                pos = new
+                on_u, on_q, on_done = moves[pos]
+            continue
+        if next_u <= next_q:  # simultaneous arrivals serve the update first
+            t = next_u
+            if t > horizon:
+                break
+            new = on_u[i][j]
             n_u += 1
             next_u = arrive_u[h_u + n_u]
         else:
-            new = rules[ARRIVE_Q][i][j]
+            t = next_q
+            if t > horizon:
+                break
+            new = on_q[i][j]
             n_q += 1
             next_q = arrive_q[h_q + n_q]
-
         if new != pos:  # preempt-resume: bank the head's remaining work
-            if pos == Z_QUERY:
+            if pos == serve_q:
                 remain_q[h_q] = completion - t
-            elif pos == Z_UPDATE:
+            elif pos == serve_u:
                 remain_u[h_u] = completion - t
-            if new == Z_QUERY:
+            if new == serve_q:
                 completion = t + remain_q[h_q]
-            elif new == Z_UPDATE:
+            elif new == serve_u:
                 completion = t + remain_u[h_u]
             else:
-                completion = math.inf
+                completion = inf
             pos = new
+            on_u, on_q, on_done = moves[pos]
 
-    done_u, done_q = np.frombuffer(depart_u), np.frombuffer(depart_q)
+    done_u, done_q = np.frombuffer(depart_u)[:h_u], np.frombuffer(depart_q)[:h_q]
     resp_n, resp_sum = _system_times(at_q, done_q, warmup)
     completed_updates, usys_sum = _system_times(at_u, done_u, warmup)
     nq_integral, nu_integral, busy_time = occupancy(at_q[:-1], done_q, at_u[:-1], done_u,
@@ -353,8 +382,8 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
-    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q)]
-            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u)])
+    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q[:h_q])]
+            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u[:h_u])])
     completed_service = sum(job.service_requirement for job in jobs)
     arrived_service = sum(work_q) + sum(work_u)
     residual_work = 0.0

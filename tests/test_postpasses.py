@@ -12,9 +12,18 @@ from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
 from freshsched.simulator import (OutOfOrderDeparture, SimConfig, age_metrics, run_replication,
                                   run_replication_detailed)
 
-POLICIES = [Fcfs(), QueryK(1), QueryK(3), UpdateK(1), UpdateK(3), JointMN(3, 3), JointMN(1, 5)]
-# (lambda_u, lambda_q) at unit service rates: rho = 0.6, 0.9, 0.95 and 0.95
-LOADS = [(0.3, 0.3), (0.45, 0.45), (0.85, 0.1), (0.1, 0.85)]
+# Joint-(1, 1) switches on nearly every arrival
+POLICIES = [Fcfs(), QueryK(1), QueryK(3), UpdateK(1), UpdateK(3), JointMN(3, 3), JointMN(1, 5),
+            JointMN(1, 1)]
+# (lambda_u, lambda_q, mu_u, mu_q): rho = 0.6, 0.9, 0.95 and 0.95 at unit
+# service rates, then rho = 0.9 with queries served twice as fast
+LOADS = [(0.3, 0.3, 1, 1), (0.45, 0.45, 1, 1), (0.85, 0.1, 1, 1), (0.1, 0.85, 1, 1),
+         (0.6, 0.6, 1, 2)]
+
+
+def load_id(rates):
+    lambda_u, lambda_q, mu_u, mu_q = rates
+    return f"{lambda_u}-{lambda_q}" + ("" if mu_u == mu_q == 1 else f"-mu-{mu_u}-{mu_q}")
 
 
 def assert_same_run(params, policy, config, rep):
@@ -31,10 +40,11 @@ def assert_same_run(params, policy, config, rep):
 
 
 @pytest.mark.parametrize("warmup", [0.0, 300.0])
-@pytest.mark.parametrize("rates", LOADS, ids=[f"{u}-{q}" for u, q in LOADS])
+@pytest.mark.parametrize("rates", LOADS, ids=load_id)
 @pytest.mark.parametrize("policy", POLICIES, ids=str)
 def test_post_passes_match_the_loop(policy, rates, warmup):
-    params = validate_params(rates[0], 1, rates[1], 1)
+    lambda_u, lambda_q, mu_u, mu_q = rates
+    params = validate_params(lambda_u, mu_u, lambda_q, mu_q)
     config = SimConfig(3000.0, warmup, 2, 31)
     for rep in range(config.replications):
         assert_same_run(params, policy, config, rep)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from freshsched import simulator
 from freshsched.model import (
     Fcfs,
     JobClass,
@@ -68,7 +69,34 @@ class TestSampleExponential:
             while u <= 0.0:
                 u = stream.random()
             expected.append(-math.log(u) / 0.37)
-        assert exponential_draws(0.37, np.random.default_rng(7), 5000) == expected
+        assert exponential_draws(0.37, np.random.default_rng(7), 5000).tolist() == expected
+
+    def test_running_sum_carried_into_a_second_block(self):
+        # the first block of uniforms lies near 1, so its draws sum to less
+        # than 0.1 and the epochs reach the horizon only in the second block
+        class NearOneFirst:
+            def __init__(self):
+                self.rng = np.random.default_rng(11)
+                self.blocks = []
+
+            def random(self, size):
+                u = self.rng.random(size)
+                self.blocks.append(1.0 - u * 1e-3 if not self.blocks else u)
+                return self.blocks[-1]
+
+        rate, horizon = 1.0, 50.0
+        stream = NearOneFirst()
+        epochs = simulator._arrival_epochs(rate, stream, horizon).tolist()
+        assert len(stream.blocks) == 2
+        expected, t = [], 0.0
+        for u in np.concatenate(stream.blocks).tolist():
+            t = t + -math.log(u) / rate
+            expected.append(t)
+            if t > horizon:
+                break
+        assert len(expected) > len(stream.blocks[0]) + 1
+        assert epochs == expected
+        assert epochs[-2] <= horizon < epochs[-1]
 
     def test_empirical_mean(self):
         n = 10 ** 6
