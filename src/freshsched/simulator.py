@@ -121,6 +121,10 @@ def _rng_streams(base_seed: int, rep_index: int):
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(4)]
 
 
+# the last jobs handed out and their update and query arrival epochs as arrays
+_arrival_arrays_memo: tuple = (None, None)
+
+
 @lru_cache(maxsize=1)
 def draw_jobs(params: ModelParams, config: SimConfig,
               rep_index: int) -> Tuple[Tuple[float, ...], ...]:
@@ -131,25 +135,28 @@ def draw_jobs(params: ModelParams, config: SimConfig,
     They depend on the rates, the horizon, the seed and the replication, not
     on the policy. The one-entry memo serves every policy that runs on this
     replication right after the first; tuples keep those callers from
-    writing to the shared jobs.
+    writing to the shared jobs. The arrival epochs' arrays, made read-only,
+    are left for `_arrival_arrays`.
     """
+    global _arrival_arrays_memo
     u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
     arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
     arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
-    return (tuple(arrive_u.tolist()), tuple(arrive_q.tolist()),
+    jobs = (tuple(arrive_u.tolist()), tuple(arrive_q.tolist()),
             tuple(exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1).tolist()),
             tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1).tolist()))
-
-
-_arrival_arrays_memo: tuple = (None, None)
+    arrive_u.flags.writeable = arrive_q.flags.writeable = False
+    _arrival_arrays_memo = (jobs, (arrive_u, arrive_q))
+    return jobs
 
 
 def _arrival_arrays(jobs) -> Tuple[np.ndarray, np.ndarray]:
     """The update and query arrival epochs of ``jobs`` as arrays.
 
-    It keeps the arrays of the last ``jobs`` it was given, matched by
-    identity: `draw_jobs` hands every policy of a replication the same tuple,
-    so each replication's epochs are converted once.
+    It keeps the arrays of the last ``jobs`` it saw, matched by identity:
+    `draw_jobs` leaves there the arrays it drew, and hands every policy of a
+    replication the same tuple; other jobs, such as the tuples a test puts in
+    its place, are converted once.
     """
     global _arrival_arrays_memo
     if _arrival_arrays_memo[0] is not jobs:

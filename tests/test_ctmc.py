@@ -254,3 +254,46 @@ class TestQbdSolve:
         monkeypatch.setattr(ctmc, "_solve_qbd", counted)
         with pytest.raises(NoConvergence, match="stopped shrinking"):
             ctmc.solve(validate_params(0.5, 1, 0.49999, 1), QueryK(2))
+
+
+def last_blocks(monkeypatch, params, policy):
+    """The full repeating blocks (a0, a1, a2) of the last truncation `solve`
+    tries, after the class swap."""
+    blocks, inner = [], ctmc._check_drift
+
+    def capture(a0, a1, a2):
+        blocks[:] = a0, a1, a2
+        inner(a0, a1, a2)
+
+    monkeypatch.setattr(ctmc, "_check_drift", capture)
+    ctmc.solve(params, policy)
+    return blocks
+
+
+class TestLivePhases:
+    @pytest.mark.parametrize("rates, policy", [
+        ((0.09, 0.9), QueryK(1)), ((0.1, 0.75), UpdateK(3)),
+        ((1 / 3, 1 / 3), JointMN(3, 3)), ((1 / 3, 1 / 3), JointMN(1, 5))], ids=repr)
+    def test_the_live_phases_give_the_full_rate_matrix(self, monkeypatch, rates, policy):
+        a0, a1, a2 = last_blocks(monkeypatch, validate_params(rates[0], 1, rates[1], 1), policy)
+        r = ctmc._live_rate_matrix(a0, a1, a2)
+        full = ctmc._rate_matrix(a0, a1, a2, a0)
+        assert np.max(np.abs(r - full)) <= 1e-12
+        entered = a0.any(axis=0) | a2.any(axis=0) | (a1 - np.diag(np.diag(a1))).any(axis=0)
+        assert not r[:, ~entered].any()
+
+    @pytest.mark.parametrize("policy", [QueryK(1), QueryK(3), QueryK(12), UpdateK(1),
+                                        UpdateK(3), UpdateK(12)], ids=repr)
+    @pytest.mark.parametrize("rates", [(1 / 3, 1 / 3), (0.55, 0.3), (0.1, 0.75)])
+    def test_query_k_and_update_k_reduce_c_plus_k_phases(self, monkeypatch, rates, policy):
+        # Query-k never serves an update with n_q >= k; Update-k is solved as
+        # Query-k with the classes swapped
+        inner, phases = ctmc._rate_matrix, []
+
+        def counted(a0, a1, a2, entering):
+            phases.append((len(a0), len(entering)))
+            return inner(a0, a1, a2, entering)
+
+        monkeypatch.setattr(ctmc, "_rate_matrix", counted)
+        ctmc.solve(validate_params(rates[0], 1, rates[1], 1), policy)
+        assert phases and all(live == (level - 1) // 2 + policy.k for live, level in phases)
