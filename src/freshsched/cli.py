@@ -93,6 +93,7 @@ def _print_result(result: ExactResult) -> None:
         print(f"balance residual = {result.residual:.3g}")
         c_q, c_u = result.truncation
         print(f"truncation = {c_q} x {c_u} ({result.n_states} boundary states)")
+        print(f"rounds = {result.rounds}")
 
 
 def _cmd_exact(args) -> int:

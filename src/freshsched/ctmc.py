@@ -21,9 +21,15 @@ triangular. R = a0 (-U)^-1 is then 0 on the dead columns, and its live
 columns come from the live blocks alone. R keeps a row for every phase,
 since level cap_u holds mass on each. Query-k never serves an update with k
 queries waiting, so c + k of its 2c + 1 phases are live. The phase
-truncation doubles until the mass on its band is below TAIL_TOLERANCE and
-the conservation gap below GAP_TOLERANCE, and stops with NoConvergence once
-the band is below its tolerance but a doubling no longer halves the gap.
+truncation c starts on the first rung of max(16, 2 cap_q) 2^j at which
+(1 + eta) eta^(c - t) is below TAIL_TOLERANCE, for the phase class's finite
+threshold t and eta = lambda / mu of that class: from t on that class is
+always served, so its law is geometric with ratio eta from N = t - 1 on,
+and the band is that bound times pi(N = t - 1). With t infinite c starts
+on the first rung. c then doubles until the mass on its band is below
+TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE, and stops with
+NoConvergence once the band is below its tolerance but a doubling no longer
+halves the gap.
 
 `build_ctmc` and `solve_stationary` solve the chain truncated on both sides
 instead, with arrivals that would cross the truncation dropped. They are the
@@ -364,27 +370,37 @@ def _solve_qbd(params: ModelParams, table, nxt: np.ndarray, c: int):
     return float(nq), float(nu), float(band), residual, int(s1)
 
 
+def _fits(c: int, top: int) -> bool:
+    # the generator holds levels 0..top + 2
+    return 2 * c + 1 <= MAX_PHASES and _level_start(top + 3, c) <= MAX_STATES
+
+
 def _check_size(c: int, top: int) -> None:
-    # before anything is allocated: the generator holds levels 0..top + 2
-    phases, states = 2 * c + 1, int(_level_start(top + 3, c))
-    if phases > MAX_PHASES or states > MAX_STATES:
+    # before anything is allocated
+    if not _fits(c, top):
         raise NoConvergence(
-            f"phase truncation {c} needs {phases} phases a level and {states} states; "
+            f"phase truncation {c} needs {2 * c + 1} phases a level and "
+            f"{int(_level_start(top + 3, c))} states; "
             f"the caps are {MAX_PHASES} phases and {MAX_STATES} states")
 
 
 def solve(params: ModelParams, policy) -> ExactResult:
     """A thresholded policy's steady state by one QBD solve for each phase
-    truncation, doubled from twice the table's cap on n_q.
+    truncation, doubled from the rung that the phase class's geometric tail
+    predicts (the module docstring), and never started past the caps.
 
     The level's queue length comes from the conservation law, and
     ``conservation_gap`` is its distance from the chain's direct moment.
     ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
-    class swap. ``n_states`` counts the unknowns of the boundary solve. R is
-    reduced on the live phases of a level, those that some move enters: c + k
-    of the 2c + 1 for Query-k and Update-k. Query-1 at (0.09, 0.9), rho =
-    0.99, ends at c = 256 with 257 of 513 phases live, and solves in about
-    0.4 s on one core of an AVX-512 Xeon.
+    class swap. ``n_states`` counts the unknowns of the boundary solve, and
+    ``rounds`` the truncations solved. For Query-k and Update-k the bound
+    holds, so the first round meets the band tolerance and only the
+    conservation gap can ask for another. Joint-(m, n)'s phase class also
+    waits behind updates, so its tail is heavier, and the predicted rung is
+    only a start. R is reduced on the live phases of a level, those that
+    some move enters: c + k of the 2c + 1 for Query-k and Update-k. Query-1
+    at (0.09, 0.9), rho = 0.99, solves one round at c = 256 with 257 of 513
+    phases live, in 0.20-0.27 s on one core of an AVX-512 Xeon.
     Little's law at the given rates turns the swapped-back lengths into times.
     """
     _reject_fcfs(policy)
@@ -397,10 +413,17 @@ def solve(params: ModelParams, policy) -> ExactResult:
     table = decision_table(JointMN(n, m) if swap else policy)
     nxt = _next_positions(table)
     rhs = conservation_rhs(rates)
-    c, previous_gap = max(16, 2 * table.cap_q), np.inf
+    c, previous_gap, rounds = max(16, 2 * table.cap_q), np.inf, 0
+    # the first rung whose bound (1 + eta) eta^(c - t) on the band is below
+    # the tolerance, but none past the caps
+    t, eta = (m if swap else n), rates.lambda_q / rates.mu_q
+    while (t != UNBOUNDED and (1 + eta) * eta ** (c - t) >= TAIL_TOLERANCE
+           and _fits(2 * c, table.cap_u)):
+        c *= 2
     while True:
         _check_size(c, table.cap_u)
         nq, direct, band, residual, n_states = _solve_qbd(rates, table, nxt, c)
+        rounds += 1
         nu = rates.mu_u * (rhs - nq / rates.mu_q)
         gap = abs(direct - nu)
         if band < TAIL_TOLERANCE and gap < GAP_TOLERANCE * nu:
@@ -420,4 +443,4 @@ def solve(params: ModelParams, policy) -> ExactResult:
     return ExactResult(policy_columns(policy)[0], nq / params.lambda_q, t_u,
                        paoi_from_update_system_time(params, t_u), nq, nu,
                        tail_mass=band, residual=residual, conservation_gap=gap,
-                       truncation=truncation, n_states=n_states)
+                       truncation=truncation, n_states=n_states, rounds=rounds)

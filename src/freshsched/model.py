@@ -194,6 +194,8 @@ class ExactResult:
     tail_mass: "float | None" = None
     residual: "float | None" = None
     conservation_gap: "float | None" = None
-    # the chain's (c_q, inf) or (inf, c_u) and its boundary's unknowns
+    # the chain's (c_q, inf) or (inf, c_u), its boundary's unknowns and the
+    # number of truncations it solved
     truncation: "Tuple[float, float] | None" = None
     n_states: "int | None" = None
+    rounds: "int | None" = None

@@ -524,6 +524,21 @@ class TestCliCommands:
         assert code == 0
         assert "truncation = 16 x inf (83 boundary states)" in out
 
+    def test_solve_prints_its_rounds_after_the_truncation(self, capsys):
+        # Joint-(3, 3) at (1/3, 1/3) starts at c = 32 and doubles once
+        code = cli.main(["solve", "--policy", "joint-mn", "--m", "3", "--n", "3",
+                         "--lambda-u", str(1 / 3), "--lambda-q", str(1 / 3)])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert lines[-2].startswith("truncation = 64 x inf")
+        assert lines[-1] == "rounds = 2"
+
+    def test_analyze_prints_no_rounds(self, capsys):
+        code = cli.main(["analyze", "--policy", "query-k", "--k", "1",
+                         "--lambda-u", "0.5", "--lambda-q", "0.1"])
+        assert code == 0
+        assert "rounds" not in capsys.readouterr().out
+
     def test_solve_joint_prints_truncation(self, capsys):
         code = cli.main(["solve", "--policy", "joint-mn", "--m", "2", "--n", "3",
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])

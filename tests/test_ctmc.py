@@ -297,3 +297,111 @@ class TestLivePhases:
         monkeypatch.setattr(ctmc, "_rate_matrix", counted)
         ctmc.solve(validate_params(rates[0], 1, rates[1], 1), policy)
         assert phases and all(live == (level - 1) // 2 + policy.k for live, level in phases)
+
+
+def phase_marginal(policy, params, column):
+    """The reference chain's marginal law of n_q (column 0) or n_u (column 1)."""
+    solution = solve_stationary(build_ctmc(CtmcSpec(params, policy, 64, 64)))
+    assert solution.tail_mass < 1e-10
+    return np.bincount(solution.rates.state_array[:, column],
+                       weights=solution.probabilities)
+
+
+def tail_ratios(marginal, t, floor):
+    """pi(N = i + 1) / pi(N = i) for every i >= t - 1 whose mass is above floor."""
+    return np.array([marginal[i + 1] / marginal[i] for i in range(t - 1, len(marginal) - 1)
+                     if marginal[i] > floor])
+
+
+def spied_truncations(monkeypatch):
+    """The list that the phase truncations `solve` tries go into, in order."""
+    inner, rounds = ctmc._solve_qbd, []
+
+    def counted(params, table, nxt, c):
+        rounds.append(c)
+        return inner(params, table, nxt, c)
+
+    monkeypatch.setattr(ctmc, "_solve_qbd", counted)
+    return rounds
+
+
+class TestPredictedTruncation:
+    @pytest.mark.parametrize("policy, params, column, eta", [
+        (QueryK(3), validate_params(1 / 3, 1, 1 / 3, 1), 0, 1 / 3),
+        (QueryK(1), validate_params(0.5, 1, 0.3, 1.5), 0, 0.2),
+        (UpdateK(3), validate_params(1 / 3, 1, 1 / 3, 1), 1, 1 / 3)], ids=repr)
+    def test_the_phase_queue_is_geometric_above_its_threshold(self, policy, params,
+                                                              column, eta):
+        # from the threshold t on, the prioritized class is always served, so
+        # the cut between N = i and N = i + 1 balances lambda pi_i = mu pi_{i+1}
+        # for i >= t - 1: the premise of the start that `solve` predicts
+        marginal = phase_marginal(policy, params, column)
+        t = policy.k
+        # the sparse solve leaves about 1e-16 on a marginal, 1e-9 of a mass of
+        # 1e-7, and up to 1.1e-15 on a state of the far corner (Update-3's
+        # (64, 63, update), whose exact mass is near 1e-60); below 1e-7 the
+        # cut is checked to that round-off
+        assert tail_ratios(marginal, t, 1e-7) == pytest.approx(eta, rel=1e-9)
+        deep = marginal[t:] - eta * marginal[t - 1:-1]
+        assert np.max(np.abs(deep)) < 1e-14
+
+    def test_a_joint_phase_queue_decays_slower_than_its_rate_ratio(self):
+        # under Joint-(m, n) the queries also wait behind updates, so their
+        # tail is heavier than eta's and the predicted rung is only a start
+        marginal = phase_marginal(JointMN(3, 3), validate_params(0.3, 1, 0.3, 1), 0)
+        ratios = tail_ratios(marginal, 3, 1e-10)
+        assert np.all(ratios > 1.15 * 0.3)
+        assert ratios[-1] > 0.48
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("kind", [QueryK, UpdateK])
+    def test_one_round_on_the_predicted_rung(self, monkeypatch, kind, k):
+        # the first rung max(16, 2 (k + 2)) 2^j whose bound (1 + eta) eta^(c - k)
+        # is below 1e-8; the doubling from 16 ended on the same c for k <= 10
+        # and on half of it, 2 (k + 2), for k = 11 and 12
+        rounds = spied_truncations(monkeypatch)
+        result = ctmc.solve(validate_params(1 / 3, 1, 1 / 3, 1), kind(k))
+        assert rounds == [32 if k <= 6 else 4 * (k + 2)]
+        assert result.rounds == 1
+
+    @pytest.mark.parametrize("policy, rates", [
+        (QueryK(1), (0.09, 0.9)), (UpdateK(1), (0.9, 0.09))], ids=repr)
+    def test_rho_099_solves_one_round(self, monkeypatch, policy, rates):
+        # the doubling solved 16, 32, 64, 128 and 256
+        rounds = spied_truncations(monkeypatch)
+        result = ctmc.solve(validate_params(rates[0], 1, rates[1], 1), policy)
+        assert rounds == [256]
+        assert result.rounds == 1 and result.tail_mass < ctmc.TAIL_TOLERANCE
+
+    def test_joint_doubles_on_from_the_predicted_rung(self, monkeypatch):
+        # the doubling solved 16, 32 and 64
+        rounds = spied_truncations(monkeypatch)
+        result = ctmc.solve(validate_params(1 / 3, 1, 1 / 3, 1), JointMN(3, 3))
+        assert rounds == [32, 64]
+        assert result.rounds == 2
+
+    @pytest.mark.parametrize("policy", [QueryK(11), QueryK(12), UpdateK(11), UpdateK(12)],
+                             ids=repr)
+    def test_a_start_past_the_doubling_matches_the_truncated_chain(self, policy):
+        # these start at c = 52 and 56, where the doubling ended at 26 and 28
+        p = validate_params(1 / 3, 1, 1 / 3, 1)
+        reference = solve_stationary(build_ctmc(CtmcSpec(p, policy, 65, 65)))
+        assert reference.tail_mass < 1e-12
+        nq, nu = expected_queue_lengths(reference)
+        qbd = ctmc.solve(p, policy)
+        assert qbd.expected_nq == pytest.approx(nq, rel=1e-7)
+        assert qbd.expected_nu == pytest.approx(nu, rel=1e-7)
+
+    @pytest.mark.parametrize("cap, value, message", [
+        ("MAX_PHASES", 2 * 32 + 1, "129 phases"), ("MAX_STATES", 300, "581 states")])
+    def test_the_start_stays_inside_the_caps(self, monkeypatch, cap, value, message):
+        # Query-1 at (0.09, 0.9) predicts c = 256; the largest rung the caps
+        # accept is 32, and the doubling after it fails as it did from 16
+        monkeypatch.setattr(ctmc, cap, value)
+        rounds = spied_truncations(monkeypatch)
+        with pytest.raises(NoConvergence, match=message):
+            ctmc.solve(validate_params(0.09, 1, 0.9, 1), QueryK(1))
+        assert rounds == [32]
+
+    def test_the_closed_forms_count_no_rounds(self):
+        assert query1_metrics(validate_params(0.5, 1, 0.1, 1)).rounds is None
