@@ -26,6 +26,18 @@ preempt-resume, so each queue is a head index into its class's lists and
 only the head can be part-served; the loop copies the service requirements
 before writing remaining work.
 
+The loop runs in C where a C compiler is found. `_event_loop.c` transcribes
+`_python_loop`, which defines it, branch for branch, with the same
+comparisons. It is built at the first replication with
+``cc -O2 -fPIC -shared -ffp-contract=off -std=c99`` into the per-user cache
+``~/.cache/freshsched``, and loaded through ctypes. Its results equal the
+Python loop's to the bit: the loop only adds, subtracts and compares
+doubles, each rounded once in either language, and the build allows no
+contraction into fused multiply-adds and no ``-ffast-math``; the source
+refuses to build where doubles would be evaluated in extended precision.
+Where no compiler is found the Python loop runs; where the build or the load
+fails, it runs after one RuntimeWarning.
+
 Every metric is computed after the loop, in numpy, from the arrival and
 departure epochs. `occupancy` merges the epochs in time order and steps the
 n_q and n_u integrals and the busy time from one event to the next, as the
@@ -39,11 +51,20 @@ the mean age can differ from a loop's in its last bits.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import math
+import os
+import platform
+import shutil
 import statistics
+import subprocess
+import tempfile
+import warnings
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -121,8 +142,8 @@ def _rng_streams(base_seed: int, rep_index: int):
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(4)]
 
 
-# the last jobs handed out and their update and query arrival epochs as arrays
-_arrival_arrays_memo: tuple = (None, None)
+# the last jobs handed out and their four streams as arrays
+_job_arrays_memo: tuple = (None, None)
 
 
 @lru_cache(maxsize=1)
@@ -135,33 +156,41 @@ def draw_jobs(params: ModelParams, config: SimConfig,
     They depend on the rates, the horizon, the seed and the replication, not
     on the policy. The one-entry memo serves every policy that runs on this
     replication right after the first; tuples keep those callers from
-    writing to the shared jobs. The arrival epochs' arrays, made read-only,
-    are left for `_arrival_arrays`.
+    writing to the shared jobs. The drawn arrays, made read-only, are left
+    for `_job_arrays`.
     """
-    global _arrival_arrays_memo
+    global _job_arrays_memo
+    _job_arrays_memo = (None, None)  # freed before the next arrays are drawn
     u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
     arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
     arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
-    jobs = (tuple(arrive_u.tolist()), tuple(arrive_q.tolist()),
-            tuple(exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1).tolist()),
-            tuple(exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1).tolist()))
-    arrive_u.flags.writeable = arrive_q.flags.writeable = False
-    _arrival_arrays_memo = (jobs, (arrive_u, arrive_q))
+    arrays = (arrive_u, arrive_q,
+              exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1),
+              exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1))
+    jobs = tuple(tuple(stream.tolist()) for stream in arrays)
+    for stream in arrays:
+        stream.flags.writeable = False
+    _job_arrays_memo = (jobs, arrays)
     return jobs
 
 
-def _arrival_arrays(jobs) -> Tuple[np.ndarray, np.ndarray]:
-    """The update and query arrival epochs of ``jobs`` as arrays.
+def _job_arrays(jobs) -> Tuple[np.ndarray, ...]:
+    """The four streams of ``jobs`` as float64 arrays.
 
     It keeps the arrays of the last ``jobs`` it saw, matched by identity:
     `draw_jobs` leaves there the arrays it drew, and hands every policy of a
     replication the same tuple; other jobs, such as the tuples a test puts in
     its place, are converted once.
     """
-    global _arrival_arrays_memo
-    if _arrival_arrays_memo[0] is not jobs:
-        _arrival_arrays_memo = (jobs, (np.array(jobs[0]), np.array(jobs[1])))
-    return _arrival_arrays_memo[1]
+    global _job_arrays_memo
+    if _job_arrays_memo[0] is not jobs:
+        _job_arrays_memo = (jobs, tuple(np.array(stream, float) for stream in jobs))
+    return _job_arrays_memo[1]
+
+
+def _arrival_arrays(jobs) -> Tuple[np.ndarray, np.ndarray]:
+    """The update and query arrival epochs of ``jobs`` as arrays."""
+    return _job_arrays(jobs)[:2]
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -283,16 +312,18 @@ def run_replication_detailed(params: ModelParams, policy, config: SimConfig,
     return _simulate(params, policy, config, rep_index, collect_jobs=True)
 
 
-def _simulate(params, policy, config, rep_index, collect_jobs):
-    if not 0 <= rep_index < config.replications:
-        raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
-    horizon, warmup = config.horizon, config.warmup
-    # each class: arrival epochs (the last one past the horizon, also as an
-    # array), service requirements, remaining work (written on preemption)
-    # and departure epochs, written at the departing head's index
-    jobs = draw_jobs(params, config, rep_index)
+def _python_loop(jobs, policy, horizon):
+    """The event loop in Python: the definition of `_event_loop.c`, and what
+    runs where that is not built.
+
+    Returns the pending completion epoch, (n_q, n_u, h_q, h_u, position) at
+    the end, each class's departure epochs as an array whose first h entries
+    are written, and each class's remaining work.
+    """
+    # each class: arrival epochs (the last one past the horizon), service
+    # requirements, remaining work (written on preemption) and departure
+    # epochs, written at the departing head's index
     arrive_u, arrive_q, work_u, work_q = jobs
-    at_u, at_q = _arrival_arrays(jobs)
     remain_u, remain_q = list(work_u), list(work_q)
     depart_u, depart_q = array("d", [0.0]) * len(work_u), array("d", [0.0]) * len(work_q)
     cap_q, cap_u, table = decision_table(policy)
@@ -367,7 +398,113 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
             pos = new
             on_u, on_q, on_done = moves[pos]
 
-    done_u, done_q = np.frombuffer(depart_u)[:h_u], np.frombuffer(depart_q)[:h_q]
+    return (completion, (n_q, n_u, h_q, h_u, pos), np.frombuffer(depart_u),
+            np.frombuffer(depart_q), remain_u, remain_q)
+
+
+# False runs `_python_loop` where the C loop would run; tests set it
+COMPILED_LOOP = True
+_SOURCE = Path(__file__).with_name("_event_loop.c")
+_COMPILER = "cc"
+# no -ffast-math, and no contraction of a*b + c into one rounding
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99")
+
+
+@lru_cache(maxsize=None)
+def _compiled_loop():
+    """The C event loop, built on first use into the per-user cache
+    ``~/.cache/freshsched`` and loaded; None where no compiler is found, or,
+    after one warning, where the build or the load fails.
+
+    The library's name is a hash of the source, the flags and the machine,
+    so a changed source is built anew. A build writes into a temporary
+    directory and publishes the library with `os.replace`, so a process
+    never loads a half-written file.
+    """
+    compiler = shutil.which(_COMPILER)
+    if compiler is None:
+        return None
+    try:
+        source = _SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join((source, " ".join(_CFLAGS).encode(),
+                                          platform.machine().encode()))).hexdigest()
+        library = Path.home() / ".cache" / "freshsched" / f"event_loop-{key[:16]}.so"
+        if not library.exists():
+            library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
+                built = os.path.join(scratch, library.name)
+                subprocess.run([compiler, *_CFLAGS, "-o", built, str(_SOURCE)],
+                               check=True, capture_output=True, text=True, timeout=120)
+                os.replace(built, library)
+        loop = ctypes.CDLL(str(library)).freshsched_event_loop
+    except (OSError, subprocess.SubprocessError) as error:
+        # the compiler's first line of complaint, else what failed
+        reason = getattr(error, "stderr", None)
+        if not (isinstance(reason, str) and reason.strip()):
+            reason = str(error)
+        warnings.warn(f"the event loop runs in Python: {reason.strip().splitlines()[0]}",
+                      RuntimeWarning)
+        return None
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    written = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    loop.argtypes = (np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
+                     ctypes.c_int64, ctypes.c_int64, doubles, doubles, written, written,
+                     written, written, ctypes.c_double,
+                     np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"))
+    loop.restype = ctypes.c_double
+    return loop
+
+
+@lru_cache(maxsize=64)
+def _flat_table(policy) -> Tuple[int, int, np.ndarray]:
+    """`decision_table(policy)` for the C loop: the caps, and each position's
+    rules as `_python_loop` picks them, in one read-only int8 array of shape
+    (3, 3, cap_q + 1, cap_u + 1), with None as -2."""
+    cap_q, cap_u, table = decision_table(policy)
+    moves = np.array([[[[-2 if new is None else new for new in row] for row in rules[trigger]]
+                       for trigger in (ARRIVE_U, ARRIVE_Q,
+                                       DEPART_Q if z == Z_QUERY else DEPART_U)]
+                      for z, rules in enumerate(table)], np.int8)
+    moves.flags.writeable = False
+    return cap_q, cap_u, moves
+
+
+def _run_compiled(loop, jobs, policy, horizon):
+    """`_python_loop`'s results from the C loop ``loop``, with the remaining
+    work and the departure epochs in arrays."""
+    at_u, at_q, work_u, work_q = _job_arrays(jobs)
+    # the loop reads arrivals up to the first one past the horizon, and
+    # writes one departure and remaining work per earlier arrival
+    for arrivals, work in ((at_u, work_u), (at_q, work_q)):
+        if not (len(arrivals) and arrivals[-1] > horizon and len(work) >= len(arrivals) - 1):
+            raise ValueError("jobs need an arrival past the horizon and a service "
+                             "requirement for each arrival before it")
+    remain_u, remain_q = work_u.copy(), work_q.copy()
+    depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
+    state = np.empty(5, np.int64)
+    cap_q, cap_u, moves = _flat_table(policy)
+    completion = loop(moves, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+                      horizon, state)
+    if math.isnan(completion):
+        raise RuntimeError(f"the decision table of {policy} led to no server position")
+    return completion, tuple(map(int, state)), depart_u, depart_q, remain_u, remain_q
+
+
+def _simulate(params, policy, config, rep_index, collect_jobs):
+    if not 0 <= rep_index < config.replications:
+        raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
+    horizon, warmup = config.horizon, config.warmup
+    jobs = draw_jobs(params, config, rep_index)
+    arrive_u, arrive_q, work_u, work_q = jobs
+    at_u, at_q = _arrival_arrays(jobs)
+    compiled = _compiled_loop() if COMPILED_LOOP else None
+    if compiled is None:
+        end = _python_loop(jobs, policy, horizon)
+    else:
+        end = _run_compiled(compiled, jobs, policy, horizon)
+    completion, (n_q, n_u, h_q, h_u, pos), depart_u, depart_q, remain_u, remain_q = end
+
+    done_u, done_q = depart_u[:h_u], depart_q[:h_q]
     resp_n, resp_sum = _system_times(at_q, done_q, warmup)
     completed_updates, usys_sum = _system_times(at_u, done_u, warmup)
     nq_integral, nu_integral, busy_time = occupancy(at_q[:-1], done_q, at_u[:-1], done_u,
@@ -389,8 +526,8 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
-    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, depart_q[:h_q])]
-            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, depart_u[:h_u])])
+    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, done_q.tolist())]
+            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, done_u.tolist())])
     completed_service = sum(job.service_requirement for job in jobs)
     arrived_service = sum(work_q) + sum(work_u)
     residual_work = 0.0
@@ -398,7 +535,7 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
                                     (Z_UPDATE, h_u, n_u, remain_u)):
         for index in range(head, head + n):
             in_service = pos == served and index == head
-            residual_work += (completion - horizon) if in_service else remain[index]
+            residual_work += (completion - horizon) if in_service else float(remain[index])
     detail = ReplicationDetail(jobs, paoi_samples, busy_time, arrived_service,
                                completed_service, residual_work)
     return metrics, detail

@@ -189,7 +189,8 @@ class TestThresholdChainMetrics:
         assert chain.n_states == 17 + 2 * 33
 
     def test_growth_past_state_cap_raises(self, monkeypatch):
-        # (0.09, 0.9) grows the query side from 16 to 256 jobs; 64 jobs are 129 phases
+        # (0.09, 0.9) starts the query side at 256 jobs, at 32 under a cap of 65
+        # phases; the next rung, 64 jobs, is 129 phases
         monkeypatch.setattr(ctmc, "MAX_PHASES", 2 * 32 + 1)
         with pytest.raises(ctmc.NoConvergence, match="129 phases"):
             query_k_metrics(params(0.09, 0.9), 1)

@@ -562,7 +562,8 @@ class TestCliCommands:
         assert "states" in capsys.readouterr().err
 
     def test_solve_past_phase_cap_exits_2(self, capsys, monkeypatch):
-        # Query-1 at (0.09, 0.9) grows its query side to 256 jobs; 64 jobs are 129 phases
+        # Query-1 at (0.09, 0.9) starts its query side at 256 jobs, at 32 under a cap
+        # of 65 phases; the next rung, 64 jobs, is 129 phases
         monkeypatch.setattr(ctmc, "MAX_PHASES", 2 * 32 + 1)
         code = cli.main(["solve", "--policy", "query-k", "--k", "1",
                          "--lambda-u", "0.09", "--lambda-q", "0.9"])

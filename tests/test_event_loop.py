@@ -1,0 +1,165 @@
+"""The compiled event loop (`_event_loop.c`) against the Python loop that
+defines it, and how it is built, cached and given up.
+
+The C half of this file is skipped where no C compiler is found; there only
+the Python loop runs.
+"""
+import os
+import shutil
+import stat
+import subprocess
+import warnings
+
+import numpy as np
+import pytest
+import test_postpasses as postpasses
+from test_postpasses import jobs  # noqa: F401  (the fixture the hand-built cases take)
+
+from freshsched import simulator
+from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
+from freshsched.simulator import SimConfig, run_replication, run_replication_detailed
+
+needs_compiler = pytest.mark.skipif(shutil.which(simulator._COMPILER) is None,
+                                    reason="no C compiler found: only the Python loop runs")
+
+POLICIES = [Fcfs(), QueryK(1), QueryK(3), UpdateK(1), UpdateK(3), JointMN(3, 3), JointMN(1, 5)]
+# (lambda_u, lambda_q, mu_u, mu_q): rho = 0.6, 0.9, 0.95 from either side,
+# then 0.9 with queries served twice as fast
+LOADS = [(0.3, 0.3, 1, 1), (0.45, 0.45, 1, 1), (0.85, 0.1, 1, 1), (0.1, 0.85, 1, 1),
+         (0.6, 0.6, 1, 2)]
+CONFIG = SimConfig(1500.0, 0.0, 4, 7)
+
+
+def run_on(monkeypatch, compiled, *args):
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+    return run_replication_detailed(*args)
+
+
+@pytest.fixture
+def fresh_loader(monkeypatch, tmp_path):
+    """The compiled loop asked for, from a loader that has not yet looked for
+    the library, with the per-user cache in an empty home; the next test
+    finds the real one again."""
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", True)
+    monkeypatch.setenv("HOME", str(tmp_path))
+    simulator._compiled_loop.cache_clear()
+    yield tmp_path / ".cache" / "freshsched"
+    simulator._compiled_loop.cache_clear()
+
+
+@needs_compiler
+@pytest.mark.parametrize("rates", LOADS, ids=postpasses.load_id)
+@pytest.mark.parametrize("policy", POLICIES, ids=str)
+def test_the_c_loop_is_the_python_loop(monkeypatch, policy, rates):
+    lambda_u, lambda_q, mu_u, mu_q = rates
+    params = validate_params(lambda_u, mu_u, lambda_q, mu_q)
+    assert simulator._compiled_loop() is not None
+    for rep in range(CONFIG.replications):
+        compiled = run_on(monkeypatch, True, params, policy, CONFIG, rep)
+        assert run_replication(params, policy, CONFIG, rep) == compiled[0]
+        assert run_on(monkeypatch, False, params, policy, CONFIG, rep) == compiled
+
+
+# each equals the scalar oracle of `reference_simulator` on every policy, to
+# the bit, so run on both loops they show the loops equal on that case
+HAND_BUILT = [postpasses.test_departure_at_an_arrival_epoch,
+              postpasses.test_simultaneous_update_and_query_arrivals,
+              postpasses.test_arrival_and_departure_at_the_horizon,
+              postpasses.test_warmup_at_an_event_epoch,
+              postpasses.test_a_class_with_no_departures]
+
+
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
+                         ids=["python", "c"])
+@pytest.mark.parametrize("case", HAND_BUILT, ids=lambda case: case.__name__[5:])
+def test_hand_built_jobs_on_both_loops(monkeypatch, jobs, case, compiled):  # noqa: F811
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+    if compiled:
+        assert simulator._compiled_loop() is not None
+    case(jobs)
+
+
+def test_jobs_short_of_the_horizon_are_refused_before_the_c_loop(monkeypatch, jobs):  # noqa: F811
+    # no arrival past the horizon: the loop would read past the end
+    jobs([1.0, 2.0], [11.0], [1.0], [])
+    with pytest.raises(ValueError, match="past the horizon"):
+        simulator._run_compiled(None, simulator.draw_jobs(None, None, 0), Fcfs(),
+                                postpasses.HORIZON)
+
+
+@needs_compiler
+def test_a_table_that_leads_to_no_position_stops_the_c_loop(monkeypatch):
+    # every move of this table is a None of `decision_table`
+    cap_q, cap_u, moves = simulator._flat_table(Fcfs())
+    monkeypatch.setattr(simulator, "_flat_table",
+                        lambda policy: (cap_q, cap_u, np.full_like(moves, -2)))
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", True)
+    with pytest.raises(RuntimeError, match="no server position"):
+        run_replication(validate_params(0.5, 1, 0.3, 1), Fcfs(), SimConfig(50.0, 0.0, 1, 1), 0)
+
+
+PARAMS = validate_params(0.5, 1, 0.3, 1)
+SHORT = SimConfig(500.0, 0.0, 2, 3)
+
+
+def python_runs(monkeypatch):
+    with monkeypatch.context() as patched:
+        patched.setattr(simulator, "COMPILED_LOOP", False)
+        return [run_replication(PARAMS, QueryK(2), SHORT, rep) for rep in range(2)]
+
+
+def fake_compiler(directory, body):
+    script = directory / "fake-cc"
+    script.write_text("#!/bin/sh\n" + body)
+    script.chmod(0o755)
+    return str(script)
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("echo 'fake-cc: error: no space left' >&2\necho 'second line' >&2\nexit 1\n",
+     "fake-cc: error: no space left"),
+    # the build "succeeds", but the library is not one
+    ('while [ "$1" != -o ]; do shift; done\necho junk > "$2"\n', "event_loop-"),
+])
+def test_a_failed_build_or_load_warns_once_and_runs_the_python_loop(
+        monkeypatch, fresh_loader, body, reason):
+    monkeypatch.setattr(simulator, "_COMPILER", fake_compiler(fresh_loader.parent.parent, body))
+    with pytest.warns(RuntimeWarning) as caught:
+        runs = [run_replication(PARAMS, QueryK(2), SHORT, rep) for rep in range(2)]
+    assert len(caught) == 1
+    assert reason in str(caught[0].message)
+    assert "second line" not in str(caught[0].message)
+    assert runs == python_runs(monkeypatch)
+
+
+def test_no_compiler_runs_the_python_loop_silently(monkeypatch, fresh_loader):
+    monkeypatch.setattr(simulator, "_COMPILER", "no-such-compiler-for-freshsched")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        runs = [run_replication(PARAMS, QueryK(2), SHORT, rep) for rep in range(2)]
+    assert simulator._compiled_loop() is None
+    assert runs == python_runs(monkeypatch)
+    assert not fresh_loader.exists()
+
+
+@needs_compiler
+def test_a_fresh_loader_reuses_the_cached_library(monkeypatch, fresh_loader):
+    first = run_replication(PARAMS, QueryK(2), SHORT, 0)
+    [library] = fresh_loader.iterdir()
+    assert library.name.startswith("event_loop-") and library.suffix == ".so"
+    assert stat.S_IMODE(fresh_loader.stat().st_mode) & 0o077 == 0
+    simulator._compiled_loop.cache_clear()
+    calls = []
+    monkeypatch.setattr(subprocess, "run", lambda *args, **kw: calls.append(args))
+    assert [first, run_replication(PARAMS, QueryK(2), SHORT, 1)] == python_runs(monkeypatch)
+    assert simulator._compiled_loop() is not None and calls == []
+    assert list(fresh_loader.iterdir()) == [library]
+
+
+@needs_compiler
+def test_the_source_compiles_without_warnings(tmp_path):
+    built = subprocess.run([shutil.which(simulator._COMPILER), *simulator._CFLAGS,
+                            "-Wall", "-Wextra", "-Werror", "-o", os.fspath(tmp_path / "loop.so"),
+                            os.fspath(simulator._SOURCE)], capture_output=True, text=True)
+    assert built.returncode == 0, built.stderr
+    assert built.stderr == ""
