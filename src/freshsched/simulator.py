@@ -5,8 +5,9 @@ service draws) deterministically from (base_seed, rep_index), so every policy
 run on the same seed sees identical jobs (common random numbers). `draw_jobs`
 draws them in blocks before the event loop: arrival epochs through the first
 one past the horizon, and one service requirement per arrival, in arrival
-order. It keeps the last replication's jobs, so policies run back to back on
-one replication (as `experiment` runs them) draw its jobs once. A draw is
+order, as read-only float64 arrays. It keeps the last replication's jobs, so
+policies run back to back on one replication (as `experiment` runs them) draw
+its jobs once. A draw is
 -ln(u)/rate with libm's ``log``, mapped over the uniforms by ``math.log``;
 the negation, the division and the arrival epochs' running sum (``np.cumsum``,
 which adds left to right) are numpy's. ``np.log`` would be faster, but it is
@@ -22,9 +23,11 @@ work of a preempted head. A position's rules are read from the table only
 when the position changes. A departure writes its epoch at the departing
 head's index into a preallocated array and starts the next job directly,
 since the departed head has no work to bank. Within a class service is FIFO
-preempt-resume, so each queue is a head index into its class's lists and
+preempt-resume, so each queue is a head index into its class's arrays and
 only the head can be part-served; the loop copies the service requirements
-before writing remaining work.
+before writing remaining work. The Python loop reads the arrays as lists,
+since indexing an array in a Python loop makes a numpy scalar per read and
+is slower.
 
 The loop runs in C where a C compiler is found. `_event_loop.c` transcribes
 `_python_loop`, which defines it, branch for branch, with the same
@@ -142,55 +145,28 @@ def _rng_streams(base_seed: int, rep_index: int):
     return [np.random.Generator(np.random.PCG64(child)) for child in root.spawn(4)]
 
 
-# the last jobs handed out and their four streams as arrays
-_job_arrays_memo: tuple = (None, None)
-
-
 @lru_cache(maxsize=1)
 def draw_jobs(params: ModelParams, config: SimConfig,
-              rep_index: int) -> Tuple[Tuple[float, ...], ...]:
-    """Replication ``rep_index``'s jobs: the update and query arrival epochs
-    (each through the first one past the horizon), then the update and query
-    service requirements, one per arrival inside the horizon.
+              rep_index: int) -> Tuple[np.ndarray, ...]:
+    """Replication ``rep_index``'s jobs as float64 arrays: the update and
+    query arrival epochs (each through the first one past the horizon), then
+    the update and query service requirements, one per arrival inside the
+    horizon.
 
     They depend on the rates, the horizon, the seed and the replication, not
     on the policy. The one-entry memo serves every policy that runs on this
-    replication right after the first; tuples keep those callers from
-    writing to the shared jobs. The drawn arrays, made read-only, are left
-    for `_job_arrays`.
+    replication right after the first; the arrays are read-only, which keeps
+    those callers from writing to the shared jobs.
     """
-    global _job_arrays_memo
-    _job_arrays_memo = (None, None)  # freed before the next arrays are drawn
     u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
     arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
     arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
-    arrays = (arrive_u, arrive_q,
-              exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1),
-              exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1))
-    jobs = tuple(tuple(stream.tolist()) for stream in arrays)
-    for stream in arrays:
+    jobs = (arrive_u, arrive_q,
+            exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1),
+            exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1))
+    for stream in jobs:
         stream.flags.writeable = False
-    _job_arrays_memo = (jobs, arrays)
     return jobs
-
-
-def _job_arrays(jobs) -> Tuple[np.ndarray, ...]:
-    """The four streams of ``jobs`` as float64 arrays.
-
-    It keeps the arrays of the last ``jobs`` it saw, matched by identity:
-    `draw_jobs` leaves there the arrays it drew, and hands every policy of a
-    replication the same tuple; other jobs, such as the tuples a test puts in
-    its place, are converted once.
-    """
-    global _job_arrays_memo
-    if _job_arrays_memo[0] is not jobs:
-        _job_arrays_memo = (jobs, tuple(np.array(stream, float) for stream in jobs))
-    return _job_arrays_memo[1]
-
-
-def _arrival_arrays(jobs) -> Tuple[np.ndarray, np.ndarray]:
-    """The update and query arrival epochs of ``jobs`` as arrays."""
-    return _job_arrays(jobs)[:2]
 
 
 def _sum_in_order(terms: np.ndarray) -> float:
@@ -320,12 +296,12 @@ def _python_loop(jobs, policy, horizon):
     the end, each class's departure epochs as an array whose first h entries
     are written, and each class's remaining work.
     """
-    # each class: arrival epochs (the last one past the horizon), service
-    # requirements, remaining work (written on preemption) and departure
-    # epochs, written at the departing head's index
-    arrive_u, arrive_q, work_u, work_q = jobs
-    remain_u, remain_q = list(work_u), list(work_q)
-    depart_u, depart_q = array("d", [0.0]) * len(work_u), array("d", [0.0]) * len(work_q)
+    # each class: arrival epochs (the last one past the horizon), remaining
+    # work (the service requirements, written on preemption) and departure
+    # epochs, written at the departing head's index; as lists, which a
+    # Python loop indexes faster than arrays
+    arrive_u, arrive_q, remain_u, remain_q = (stream.tolist() for stream in jobs)
+    depart_u, depart_q = array("d", [0.0]) * len(remain_u), array("d", [0.0]) * len(remain_q)
     cap_q, cap_u, table = decision_table(policy)
     # each position's rules on an update arrival, on a query arrival and on
     # the departure of the job it serves, read again when the position changes
@@ -472,13 +448,7 @@ def _flat_table(policy) -> Tuple[int, int, np.ndarray]:
 def _run_compiled(loop, jobs, policy, horizon):
     """`_python_loop`'s results from the C loop ``loop``, with the remaining
     work and the departure epochs in arrays."""
-    at_u, at_q, work_u, work_q = _job_arrays(jobs)
-    # the loop reads arrivals up to the first one past the horizon, and
-    # writes one departure and remaining work per earlier arrival
-    for arrivals, work in ((at_u, work_u), (at_q, work_q)):
-        if not (len(arrivals) and arrivals[-1] > horizon and len(work) >= len(arrivals) - 1):
-            raise ValueError("jobs need an arrival past the horizon and a service "
-                             "requirement for each arrival before it")
+    at_u, at_q, work_u, work_q = jobs
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
     state = np.empty(5, np.int64)
@@ -495,8 +465,13 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
     horizon, warmup = config.horizon, config.warmup
     jobs = draw_jobs(params, config, rep_index)
-    arrive_u, arrive_q, work_u, work_q = jobs
-    at_u, at_q = _arrival_arrays(jobs)
+    at_u, at_q, work_u, work_q = jobs
+    # either loop reads arrivals up to the first one past the horizon, and
+    # writes one departure and remaining work per earlier arrival
+    for arrivals, work in ((at_u, work_u), (at_q, work_q)):
+        if not (len(arrivals) and arrivals[-1] > horizon and len(work) >= len(arrivals) - 1):
+            raise ValueError("jobs need an arrival past the horizon and a service "
+                             "requirement for each arrival before it")
     compiled = _compiled_loop() if COMPILED_LOOP else None
     if compiled is None:
         end = _python_loop(jobs, policy, horizon)
@@ -526,6 +501,8 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
+    # plain floats in the records
+    arrive_u, arrive_q, work_u, work_q = (stream.tolist() for stream in jobs)
     jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, done_q.tolist())]
             + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, done_u.tolist())])
     completed_service = sum(job.service_requirement for job in jobs)

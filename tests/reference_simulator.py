@@ -58,7 +58,8 @@ def system_times(arrivals: Sequence[float], departures: Sequence[float],
 def reference_replication(params, policy, config, rep_index):
     """The metrics and detail of one replication, every sum taken in the loop."""
     horizon, warmup = config.horizon, config.warmup
-    arrive_u, arrive_q, work_u, work_q = simulator.draw_jobs(params, config, rep_index)
+    arrive_u, arrive_q, work_u, work_q = (
+        stream.tolist() for stream in simulator.draw_jobs(params, config, rep_index))
     remain_u, remain_q = list(work_u), list(work_q)
     depart_u: List[float] = []
     depart_q: List[float] = []

@@ -79,12 +79,16 @@ def test_hand_built_jobs_on_both_loops(monkeypatch, jobs, case, compiled):  # no
     case(jobs)
 
 
-def test_jobs_short_of_the_horizon_are_refused_before_the_c_loop(monkeypatch, jobs):  # noqa: F811
-    # no arrival past the horizon: the loop would read past the end
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
+                         ids=["python", "c"])
+def test_jobs_short_of_the_horizon_are_refused_before_either_loop(
+        monkeypatch, jobs, compiled):  # noqa: F811
+    # no update arrival past the horizon: a loop would read past the end
     jobs([1.0, 2.0], [11.0], [1.0], [])
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
     with pytest.raises(ValueError, match="past the horizon"):
-        simulator._run_compiled(None, simulator.draw_jobs(None, None, 0), Fcfs(),
-                                postpasses.HORIZON)
+        run_replication(validate_params(0.5, 1, 0.3, 1), Fcfs(),
+                        SimConfig(postpasses.HORIZON, 0.0, 1, 1), 0)
 
 
 @needs_compiler

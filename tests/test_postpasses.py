@@ -3,6 +3,7 @@
 the system times."""
 import dataclasses
 
+import numpy as np
 import pytest
 from reference_simulator import age_metrics as reference_age_metrics
 from reference_simulator import reference_replication
@@ -58,7 +59,7 @@ def jobs(monkeypatch):
     """Replace the drawn jobs by the given arrival epochs (each list ending
     past the horizon) and service requirements."""
     def use(arrive_u, arrive_q, work_u, work_q):
-        drawn = (tuple(arrive_u), tuple(arrive_q), tuple(work_u), tuple(work_q))
+        drawn = tuple(np.array(stream, float) for stream in (arrive_u, arrive_q, work_u, work_q))
         monkeypatch.setattr(simulator, "draw_jobs", lambda params, config, rep: drawn)
     return use
 

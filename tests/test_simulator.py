@@ -172,16 +172,12 @@ class TestRunReplication:
         b = run_replication(self.params, policy, self.config, 1)
         assert a == b
 
-    def test_jobs_are_tuples(self):
+    def test_jobs_are_read_only_float_arrays(self):
         jobs = draw_jobs(self.params, self.config, 0)
-        assert len(jobs) == 4 and all(isinstance(stream, tuple) for stream in jobs)
-
-    def test_the_drawn_arrival_arrays_are_read_only_copies_of_the_tuples(self):
-        draw_jobs.cache_clear()
-        jobs = draw_jobs(self.params, self.config, 2)
-        at_u, at_q = simulator._arrival_arrays(jobs)
-        assert at_u.tolist() == list(jobs[0]) and at_q.tolist() == list(jobs[1])
-        assert not (at_u.flags.writeable or at_q.flags.writeable)
+        assert len(jobs) == 4
+        assert all(stream.dtype == np.float64 and not stream.flags.writeable for stream in jobs)
+        with pytest.raises(ValueError):
+            jobs[2][0] = 0.0
 
     def test_shared_jobs_replay_a_fresh_draw(self):
         # Query-3 preempts updates first, so a write into the shared jobs
