@@ -13,17 +13,19 @@
 #error "doubles must be evaluated in double precision"
 #endif
 
-/* the codes of `policy`: the server positions, and OLDER_HEAD, an FCFS
-   departure that leaves both queues nonempty */
+/* the codes of `policy`: the server positions, OLDER_HEAD, an FCFS
+   departure that leaves both queues nonempty, and the triggers */
 enum { IDLE = 0, SERVE_Q = 1, SERVE_U = 2, OLDER_HEAD = -1 };
+enum { ARRIVE_U = 0, ARRIVE_Q = 1, DEPART_U = 2, DEPART_Q = 3 };
 
-/* `moves` holds each position's rules on an update arrival, on a query
-   arrival and on the departure of the job it serves, each a (cap_q + 1) x
-   (cap_u + 1) table of positions. The arrival epochs run through the first
-   one past the horizon; `remain_*` start as the service requirements and
-   take the remaining work of preempted heads. Returns the pending completion
-   epoch and writes n_q, n_u, h_q, h_u and the position into `state`; returns
-   NaN if the table leads to no position. */
+/* `moves` is the array of policy.decision_table: each position's rules on
+   its 4 triggers, each a (cap_q + 1) x (cap_u + 1) table of positions that
+   holds NO_POSITION, a code past SERVE_U, where the trigger cannot fire.
+   The arrival epochs run through the first one past the horizon; `remain_*`
+   start as the service requirements and take the remaining work of
+   preempted heads. Returns the pending completion epoch and writes n_q,
+   n_u, h_q, h_u and the position into `state`; returns NaN if the table
+   leads to no position. */
 double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
                              const double *arrive_u, const double *arrive_q,
                              double *remain_u, double *remain_q,
@@ -35,7 +37,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
     int64_t h_q = 0, h_u = 0; /* index of each queue's head */
     double next_u = arrive_u[0], next_q = arrive_q[0];
     int pos = IDLE;
-    /* the position's rules on an update arrival, a query arrival, a departure */
+    /* the position's rules on each trigger */
     const int8_t *rules = moves;
     double completion = INFINITY;
     double t;
@@ -49,7 +51,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             t = completion;
             if (t > horizon)
                 break;
-            new = rules[2 * cells + cell];
+            new = rules[(pos == SERVE_Q ? DEPART_Q : DEPART_U) * cells + cell];
             if (pos == SERVE_Q) {
                 depart_q[h_q] = t;
                 n_q -= 1;
@@ -72,7 +74,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
                 if (new < IDLE || new > SERVE_U)
                     return NAN;
                 pos = new;
-                rules = moves + 3 * pos * cells;
+                rules = moves + 4 * pos * cells;
             }
             continue;
         }
@@ -80,14 +82,14 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             t = next_u;
             if (t > horizon)
                 break;
-            new = rules[cell];
+            new = rules[ARRIVE_U * cells + cell];
             n_u += 1;
             next_u = arrive_u[h_u + n_u];
         } else {
             t = next_q;
             if (t > horizon)
                 break;
-            new = rules[cells + cell];
+            new = rules[ARRIVE_Q * cells + cell];
             n_q += 1;
             next_q = arrive_q[h_q + n_q];
         }
@@ -105,7 +107,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             else
                 completion = INFINITY;
             pos = new;
-            rules = moves + 3 * pos * cells;
+            rules = moves + 4 * pos * cells;
         }
     }
     state[0] = n_q;

@@ -126,7 +126,8 @@ def build_ctmc(spec: CtmcSpec) -> CtmcRates:
         raise NoConvergence(
             f"truncation {spec.c_q} x {spec.c_u} exceeds the cap of {MAX_STATES} states")
     params = spec.params
-    cap_q, cap_u, table = decision_table(spec.policy)
+    cap_q, cap_u, next_position = decision_table(spec.policy)
+    table = next_position.tolist()  # plain ints, which the loop indexes faster
     start = (0, 0, Z_IDLE)
     index = {start: 0}
     states = [start]
@@ -237,19 +238,13 @@ def expected_queue_lengths(solution: CtmcSolution) -> Tuple[float, float]:
     return float(states[:, 0].astype(float) @ pi), float(states[:, 1].astype(float) @ pi)
 
 
-def _next_positions(table) -> np.ndarray:
-    """The decision table as an int array indexed [z, trigger, n_q, n_u]."""
-    return np.array([[[[-1 if v is None else v for v in row] for row in rule]
-                      for rule in rules] for rules in table.next_position])
-
-
 def _level_start(level, c: int):
     # level 0 holds (0, idle) and (i, query) for i = 1..c; every higher level
     # holds (i, query) for i = 1..c, then (i, update) for i = 0..c
     return np.where(level == 0, 0, c + 1 + (level - 1) * (2 * c + 1))
 
 
-def _generator(params: ModelParams, table, nxt: np.ndarray, c: int,
+def _generator(params: ModelParams, table, c: int,
                levels: int) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
     """Generator of levels 0..levels-1 with n_q truncated at c, and the n_q
     and level of every state. An update arrival from the top level leaves the
@@ -270,7 +265,7 @@ def _generator(params: ModelParams, table, nxt: np.ndarray, c: int,
         # a query arrival at n_q = c is lost but still moves the server as
         # `decide` says; dropping it would trap the server at the updates
         # once both thresholds are reached, with no level to leave them by
-        ti, tj, tz = np.minimum(i + di, c), j + dj, nxt[z, event, ci, cj]
+        ti, tj, tz = np.minimum(i + di, c), j + dj, table.next_position[z, event, ci, cj]
         moves = fires & ((ti != i) | (tj != j) | (tz != z))
         out += r * moves
         s = np.flatnonzero(moves & (tj < levels))
@@ -331,11 +326,11 @@ def _live_rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndar
     return r
 
 
-def _solve_qbd(params: ModelParams, table, nxt: np.ndarray, c: int):
+def _solve_qbd(params: ModelParams, table, c: int):
     """(E[N_q], E[N_u], band mass, balance residual, boundary unknowns) of the
     QBD with n_q truncated at c."""
     top, p = table.cap_u, 2 * c + 1
-    q, i, j = _generator(params, table, nxt, c, top + 3)
+    q, i, j = _generator(params, table, c, top + 3)
     # levels top, top + 1 and top + 2 start at s0, s1 and s2; every level
     # from top on has the transitions of level top + 1
     s0, s1, s2 = (_level_start(level, c) for level in (top, top + 1, top + 2))
@@ -411,7 +406,6 @@ def solve(params: ModelParams, policy) -> ExactResult:
     rates = (ModelParams(params.lambda_q, params.mu_q, params.lambda_u, params.mu_u)
              if swap else params)
     table = decision_table(JointMN(n, m) if swap else policy)
-    nxt = _next_positions(table)
     rhs = conservation_rhs(rates)
     c, previous_gap, rounds = max(16, 2 * table.cap_q), np.inf, 0
     # the first rung whose bound (1 + eta) eta^(c - t) on the band is below
@@ -422,7 +416,7 @@ def solve(params: ModelParams, policy) -> ExactResult:
         c *= 2
     while True:
         _check_size(c, table.cap_u)
-        nq, direct, band, residual, n_states = _solve_qbd(rates, table, nxt, c)
+        nq, direct, band, residual, n_states = _solve_qbd(rates, table, c)
         rounds += 1
         nu = rates.mu_u * (rhs - nq / rates.mu_q)
         gap = abs(direct - nu)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import NamedTuple, Tuple
+from typing import NamedTuple
+
+import numpy as np
 
 from .model import POLICY_TYPES, UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 
@@ -36,6 +38,9 @@ ARRIVE_U, ARRIVE_Q, DEPART_U, DEPART_Q = map(int, Trigger)
 # table value of an FCFS departure that leaves both queues nonempty: the older
 # head is served next, the update on a tie (see FcfsOrderUndetermined)
 OLDER_HEAD = -1
+# table value of a trigger that cannot fire; past every position, so a loop
+# that reads it as one fails instead of running on
+NO_POSITION = 3
 
 
 class SchedulerState(NamedTuple):
@@ -143,18 +148,20 @@ def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
 
 
 class DecisionTable(NamedTuple):
-    """`decide`'s post-event position for every valid (state, trigger).
+    """`decide`'s post-event position for every (state, trigger).
 
-    ``next_position[z][e][i][j]`` is the position code, a `ServerPosition`
-    value as a plain int, after trigger ``e`` from position ``z`` with
-    ``min(n_q, cap_q) = i`` and ``min(n_u, cap_u) = j`` before the event. A
-    count at or above its cap decides like the cap, so the table is exact for
-    every count. Entries for invalid states and triggers are None.
+    ``next_position`` is one read-only int8 array indexed ``[z, e, i, j]``:
+    the position code, a `ServerPosition` value, after trigger ``e`` from
+    position ``z`` with ``min(n_q, cap_q) = i`` and ``min(n_u, cap_u) = j``
+    before the event. A count at or above its cap decides like the cap, so
+    the table is exact for every count. An FCFS departure that leaves both
+    queues nonempty holds `OLDER_HEAD`, and an invalid state or trigger
+    `NO_POSITION`.
     """
 
     cap_q: int
     cap_u: int
-    next_position: Tuple[Tuple[Tuple[tuple, ...], ...], ...]
+    next_position: np.ndarray
 
 
 def _cap(threshold) -> int:
@@ -167,7 +174,7 @@ def _table_entry(policy, state: SchedulerState, trigger: Trigger):
     try:
         return int(decide(policy, state, trigger).position)
     except InconsistentTrigger:
-        return None
+        return NO_POSITION
     except FcfsOrderUndetermined:
         return OLDER_HEAD
 
@@ -177,9 +184,10 @@ def decision_table(policy) -> DecisionTable:
     """Call `decide` once on every valid state with counts up to the caps."""
     m, n = thresholds(policy)
     cap_q, cap_u = _cap(n), _cap(m)
-    return DecisionTable(cap_q, cap_u, tuple(
-        tuple(tuple(tuple(_table_entry(policy, SchedulerState(i, j, position), trigger)
-                          for j in range(cap_u + 1))
-                    for i in range(cap_q + 1))
-              for trigger in Trigger)
-        for position in ServerPosition))
+    table = np.array([[[[_table_entry(policy, SchedulerState(i, j, position), trigger)
+                         for j in range(cap_u + 1)]
+                        for i in range(cap_q + 1)]
+                       for trigger in Trigger]
+                      for position in ServerPosition], np.int8)
+    table.flags.writeable = False
+    return DecisionTable(cap_q, cap_u, table)

@@ -304,9 +304,10 @@ def _python_loop(jobs, policy, horizon):
     depart_u, depart_q = array("d", [0.0]) * len(remain_u), array("d", [0.0]) * len(remain_q)
     cap_q, cap_u, table = decision_table(policy)
     # each position's rules on an update arrival, on a query arrival and on
-    # the departure of the job it serves, read again when the position changes
+    # the departure of the job it serves, read again when the position changes;
+    # `NO_POSITION` indexes past them
     moves = [(rules[ARRIVE_U], rules[ARRIVE_Q], rules[DEPART_Q if z == Z_QUERY else DEPART_U])
-             for z, rules in enumerate(table)]
+             for z, rules in enumerate(table.tolist())]
     # the codes as locals, which the loop reads faster than globals
     serve_q, serve_u, older_head, inf = Z_QUERY, Z_UPDATE, OLDER_HEAD, math.inf
 
@@ -431,20 +432,6 @@ def _compiled_loop():
     return loop
 
 
-@lru_cache(maxsize=64)
-def _flat_table(policy) -> Tuple[int, int, np.ndarray]:
-    """`decision_table(policy)` for the C loop: the caps, and each position's
-    rules as `_python_loop` picks them, in one read-only int8 array of shape
-    (3, 3, cap_q + 1, cap_u + 1), with None as -2."""
-    cap_q, cap_u, table = decision_table(policy)
-    moves = np.array([[[[-2 if new is None else new for new in row] for row in rules[trigger]]
-                       for trigger in (ARRIVE_U, ARRIVE_Q,
-                                       DEPART_Q if z == Z_QUERY else DEPART_U)]
-                      for z, rules in enumerate(table)], np.int8)
-    moves.flags.writeable = False
-    return cap_q, cap_u, moves
-
-
 def _run_compiled(loop, jobs, policy, horizon):
     """`_python_loop`'s results from the C loop ``loop``, with the remaining
     work and the departure epochs in arrays."""
@@ -452,8 +439,8 @@ def _run_compiled(loop, jobs, policy, horizon):
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
     state = np.empty(5, np.int64)
-    cap_q, cap_u, moves = _flat_table(policy)
-    completion = loop(moves, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+    cap_q, cap_u, table = decision_table(policy)
+    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
                       horizon, state)
     if math.isnan(completion):
         raise RuntimeError(f"the decision table of {policy} led to no server position")

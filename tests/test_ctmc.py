@@ -229,7 +229,7 @@ class TestQbdSolve:
         p = validate_params(0.2, 1, 0.7, 1)
         table = decision_table(JointMN(5, 8))
         c, level = 20, table.cap_u + 1
-        q, _i, _j = ctmc._generator(p, table, ctmc._next_positions(table), c, level + 2)
+        q, _i, _j = ctmc._generator(p, table, c, level + 2)
         start = int(ctmc._level_start(level, c))
         serving_updates, serving_queries = start + 2 * c, start + c - 1  # n_q = c
         assert q[serving_updates, serving_queries] == p.lambda_q
@@ -246,10 +246,10 @@ class TestQbdSolve:
         # c = 64 on; doubling on to the phase cap took over two minutes
         inner, rounds = ctmc._solve_qbd, []
 
-        def counted(params, table, nxt, c):
+        def counted(params, table, c):
             rounds.append(c)
             assert len(rounds) <= 4, f"solved again at c = {c} after the gap stalled"
-            return inner(params, table, nxt, c)
+            return inner(params, table, c)
 
         monkeypatch.setattr(ctmc, "_solve_qbd", counted)
         with pytest.raises(NoConvergence, match="stopped shrinking"):
@@ -317,9 +317,9 @@ def spied_truncations(monkeypatch):
     """The list that the phase truncations `solve` tries go into, in order."""
     inner, rounds = ctmc._solve_qbd, []
 
-    def counted(params, table, nxt, c):
+    def counted(params, table, c):
         rounds.append(c)
-        return inner(params, table, nxt, c)
+        return inner(params, table, c)
 
     monkeypatch.setattr(ctmc, "_solve_qbd", counted)
     return rounds

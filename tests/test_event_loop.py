@@ -5,6 +5,7 @@ The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
 """
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -17,6 +18,7 @@ from test_postpasses import jobs  # noqa: F401  (the fixture the hand-built case
 
 from freshsched import simulator
 from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
+from freshsched.policy import NO_POSITION, OLDER_HEAD, ServerPosition, Trigger, decision_table
 from freshsched.simulator import SimConfig, run_replication, run_replication_detailed
 
 needs_compiler = pytest.mark.skipif(shutil.which(simulator._COMPILER) is None,
@@ -91,15 +93,37 @@ def test_jobs_short_of_the_horizon_are_refused_before_either_loop(
                         SimConfig(postpasses.HORIZON, 0.0, 1, 1), 0)
 
 
-@needs_compiler
-def test_a_table_that_leads_to_no_position_stops_the_c_loop(monkeypatch):
-    # every move of this table is a None of `decision_table`
-    cap_q, cap_u, moves = simulator._flat_table(Fcfs())
-    monkeypatch.setattr(simulator, "_flat_table",
-                        lambda policy: (cap_q, cap_u, np.full_like(moves, -2)))
-    monkeypatch.setattr(simulator, "COMPILED_LOOP", True)
-    with pytest.raises(RuntimeError, match="no server position"):
+@pytest.mark.parametrize("compiled, error", [
+    (False, pytest.raises(IndexError)),
+    pytest.param(True, pytest.raises(RuntimeError, match="no server position"),
+                 marks=needs_compiler)], ids=["python", "c"])
+def test_a_table_that_leads_to_no_position_stops_either_loop(monkeypatch, compiled, error):
+    # every move of this table is a trigger that cannot fire: a loop that
+    # read it as a position would run on with a wrong server
+    table = decision_table(Fcfs())
+    monkeypatch.setattr(simulator, "decision_table", lambda policy: table._replace(
+        next_position=np.full_like(table.next_position, NO_POSITION)))
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+    with error:
         run_replication(validate_params(0.5, 1, 0.3, 1), Fcfs(), SimConfig(50.0, 0.0, 1, 1), 0)
+
+
+def enum_codes(source):
+    """Every ``NAME = value`` of the ``enum`` lines of C source ``source``."""
+    return {name: int(value) for line in source.splitlines() if line.startswith("enum")
+            for name, value in re.findall(r"(\w+) = (-?\d+)", line)}
+
+
+def test_the_c_loop_shares_the_codes_of_policy():
+    # needs no compiler: the C loop indexes the table by these codes, so a
+    # renumbering in `policy` alone would have it read the wrong rules
+    assert enum_codes(simulator._SOURCE.read_text()) == {
+        "IDLE": ServerPosition.IDLE, "SERVE_Q": ServerPosition.SERVING_QUERY,
+        "SERVE_U": ServerPosition.SERVING_UPDATE, "OLDER_HEAD": OLDER_HEAD,
+        "ARRIVE_U": Trigger.ARRIVAL_UPDATE, "ARRIVE_Q": Trigger.ARRIVAL_QUERY,
+        "DEPART_U": Trigger.DEPARTURE_UPDATE, "DEPART_Q": Trigger.DEPARTURE_QUERY}
+    # the C loop's guard `new > SERVE_U` catches NO_POSITION only past them
+    assert NO_POSITION > max(ServerPosition)
 
 
 PARAMS = validate_params(0.5, 1, 0.3, 1)

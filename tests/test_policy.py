@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +9,7 @@ from freshsched.policy import (
     ARRIVE_U,
     DEPART_Q,
     DEPART_U,
+    NO_POSITION,
     OLDER_HEAD,
     Z_IDLE,
     Z_QUERY,
@@ -267,6 +269,11 @@ def test_non_idling_random_walk(policy, choices):
             assert state.position is IDLE
 
 
+def assert_same_table(a, b):
+    assert (a.cap_q, a.cap_u) == (b.cap_q, b.cap_u)
+    assert np.array_equal(a.next_position, b.next_position)
+
+
 class TestDecisionTable:
     @pytest.mark.parametrize("policy", [
         Fcfs(), QueryK(1), QueryK(3), QueryK(UNBOUNDED), UpdateK(1), UpdateK(3),
@@ -292,22 +299,23 @@ class TestDecisionTable:
 
     def test_invalid_entries_are_empty(self):
         _, _, table = decision_table(QueryK(3))
-        assert table[IDLE][Trigger.DEPARTURE_QUERY][0][0] is None
-        assert table[SQ][Trigger.DEPARTURE_QUERY][0][1] is None  # no query present
+        assert table[IDLE][Trigger.DEPARTURE_QUERY][0][0] == NO_POSITION
+        assert table[SQ][Trigger.DEPARTURE_QUERY][0][1] == NO_POSITION  # no query present
 
     def test_entries_are_plain_int_codes(self):
-        # the simulator compares entries with the plain-int codes in its loop
+        # the C loop reads the array as int8 codes, and no one may write to it
+        codes = {*map(int, ServerPosition), OLDER_HEAD, NO_POSITION}
         for policy in ALL_POLICIES:
-            for z in decision_table(policy).next_position:
-                for e in z:
-                    for row in e:
-                        assert all(x is None or type(x) is int for x in row)
+            table = decision_table(policy).next_position
+            assert table.dtype == np.int8
+            assert not table.flags.writeable
+            assert set(np.unique(table).tolist()) <= codes
 
     @pytest.mark.parametrize("k", [1, 3, 12])
     def test_single_threshold_policies_are_joint_policies(self, k):
         # Query-k is Joint-(inf, k) and Update-k is Joint-(k, inf)
-        assert decision_table(QueryK(k)) == decision_table(JointMN(UNBOUNDED, k))
-        assert decision_table(UpdateK(k)) == decision_table(JointMN(k, UNBOUNDED))
+        assert_same_table(decision_table(QueryK(k)), decision_table(JointMN(UNBOUNDED, k)))
+        assert_same_table(decision_table(UpdateK(k)), decision_table(JointMN(k, UNBOUNDED)))
 
     def test_unbounded_query_and_update_tables_coincide(self):
-        assert decision_table(QueryK(UNBOUNDED)) == decision_table(UpdateK(UNBOUNDED))
+        assert_same_table(decision_table(QueryK(UNBOUNDED)), decision_table(UpdateK(UNBOUNDED)))
