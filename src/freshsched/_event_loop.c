@@ -1,9 +1,13 @@
 /* The simulator's event loop, transcribed from simulator._python_loop, which
    defines it: the same branches in the same order, the same comparisons and
-   INFINITY for math.inf. The loop only adds, subtracts and compares doubles,
-   so with contraction off (-ffp-contract=off) and no -ffast-math every value
-   it writes is the Python loop's, to the bit. `simulator` builds this file on
-   first use and calls it through ctypes. */
+   INFINITY for math.inf. It also takes every sum of a replication in the one
+   pass over the events, each term computed as the numpy post-passes of
+   `simulator` compute it and added in the order they add it. The loop only
+   adds, subtracts, multiplies, divides and compares doubles, so with
+   contraction off (-ffp-contract=off) and no -ffast-math every value it
+   writes is the Python loop's and the post-passes', to the bit. The second
+   function is the draw -log(u)/rate with libm's log, which math.log calls too.
+   `simulator` builds this file on first use and calls it through ctypes. */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -18,19 +22,52 @@
 enum { IDLE = 0, SERVE_Q = 1, SERVE_U = 2, OLDER_HEAD = -1 };
 enum { ARRIVE_U = 0, ARRIVE_Q = 1, DEPART_U = 2, DEPART_Q = 3 };
 
+/* the sums that `sum` holds, in this order */
+enum { NQ, NU, BUSY, AGE, RESPONSE, UPDATE_SYSTEM, SUMS };
+
+/* Adds the interval (*last, t] to the n_q and n_u integrals, clipped to
+   (warmup, t], and to the busy time, and moves *last to t; as `occupancy`. */
+static void occupy(double t, int64_t n_q, int64_t n_u, double warmup, double *last,
+                   double *sum)
+{
+    double dt = t - (*last > warmup ? *last : warmup);
+    if (dt > 0) {
+        sum[NQ] += (double)n_q * dt;
+        sum[NU] += (double)n_u * dt;
+    }
+    if (n_q + n_u > 0) /* every policy is work-conserving */
+        sum[BUSY] += t - *last;
+    *last = t;
+}
+
+/* The integral of the age t - g over (t0, t1] clipped to (warmup, horizon];
+   as `_age_areas`. */
+static double age_area(double g, double t0, double t1, double warmup, double horizon)
+{
+    double a = t0 > warmup ? t0 : warmup, b = t1 < horizon ? t1 : horizon;
+    if (!(b > a))
+        return 0.0;
+    a -= g;
+    b -= g;
+    return (b * b - a * a) / 2.0;
+}
+
 /* `moves` is the array of policy.decision_table: each position's rules on
    its 4 triggers, each a (cap_q + 1) x (cap_u + 1) table of positions that
    holds NO_POSITION, a code past SERVE_U, where the trigger cannot fire.
    The arrival epochs run through the first one past the horizon; `remain_*`
    start as the service requirements and take the remaining work of
-   preempted heads. Returns the pending completion epoch and writes n_q,
-   n_u, h_q, h_u and the position into `state`; returns NaN if the table
-   leads to no position. */
+   preempted heads. Returns the pending completion epoch; writes n_q, n_u,
+   h_q, h_u, the position and the counts of queries and of updates that
+   departed after the warmup into `state`, the sums into `sum`, and one
+   peak-age sample per update that departed after the warmup into `paoi`.
+   Returns NaN if the table leads to no position. */
 double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
                              const double *arrive_u, const double *arrive_q,
                              double *remain_u, double *remain_q,
                              double *depart_u, double *depart_q,
-                             double horizon, int64_t *state)
+                             double warmup, double horizon,
+                             int64_t *state, double *sum, double *paoi)
 {
     const int64_t cells = (cap_q + 1) * (cap_u + 1);
     int64_t n_q = 0, n_u = 0; /* queue lengths */
@@ -42,7 +79,12 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
     double completion = INFINITY;
     double t;
     int new;
+    /* the last event; the freshest delivered generation and its delivery */
+    double last = 0.0, g = 0.0, delivered = 0.0;
+    int64_t responses = 0, updates = 0; /* departed after the warmup */
 
+    for (int k = 0; k < SUMS; k++)
+        sum[k] = 0.0;
     for (;;) {
         int64_t i = n_q < cap_q ? n_q : cap_q;
         int64_t j = n_u < cap_u ? n_u : cap_u;
@@ -51,13 +93,26 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             t = completion;
             if (t > horizon)
                 break;
+            occupy(t, n_q, n_u, warmup, &last, sum);
             new = rules[(pos == SERVE_Q ? DEPART_Q : DEPART_U) * cells + cell];
             if (pos == SERVE_Q) {
                 depart_q[h_q] = t;
+                if (t > warmup) {
+                    responses += 1;
+                    sum[RESPONSE] += t - arrive_q[h_q];
+                }
                 n_q -= 1;
                 h_q += 1;
             } else {
+                double generation = arrive_u[h_u];
                 depart_u[h_u] = t;
+                if (t > warmup) {
+                    sum[UPDATE_SYSTEM] += t - generation;
+                    paoi[updates++] = (generation - g) + (t - generation);
+                }
+                sum[AGE] += age_area(g, delivered, t, warmup, horizon);
+                g = generation;
+                delivered = t;
                 n_u -= 1;
                 h_u += 1;
             }
@@ -82,6 +137,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             t = next_u;
             if (t > horizon)
                 break;
+            occupy(t, n_q, n_u, warmup, &last, sum);
             new = rules[ARRIVE_U * cells + cell];
             n_u += 1;
             next_u = arrive_u[h_u + n_u];
@@ -89,6 +145,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             t = next_q;
             if (t > horizon)
                 break;
+            occupy(t, n_q, n_u, warmup, &last, sum);
             new = rules[ARRIVE_Q * cells + cell];
             n_q += 1;
             next_q = arrive_q[h_q + n_q];
@@ -110,10 +167,23 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
             rules = moves + 4 * pos * cells;
         }
     }
+    /* from the last event, and from the last delivery, to the horizon */
+    occupy(horizon, n_q, n_u, warmup, &last, sum);
+    sum[AGE] += age_area(g, delivered, horizon, warmup, horizon);
     state[0] = n_q;
     state[1] = n_u;
     state[2] = h_q;
     state[3] = h_u;
     state[4] = pos;
+    state[5] = responses;
+    state[6] = updates;
     return completion;
+}
+
+/* out[i] = -log(u[i]) / rate for i < n, as simulator.exponential_draws
+   takes it in Python: libm's log, negated, then divided once. */
+void freshsched_exponential(const double *u, int64_t n, double rate, double *out)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = -log(u[i]) / rate;
 }

@@ -7,14 +7,15 @@ draws them in blocks before the event loop: arrival epochs through the first
 one past the horizon, and one service requirement per arrival, in arrival
 order, as read-only float64 arrays. It keeps the last replication's jobs, so
 policies run back to back on one replication (as `experiment` runs them) draw
-its jobs once. A draw is
--ln(u)/rate with libm's ``log``, mapped over the uniforms by ``math.log``;
-the negation, the division and the arrival epochs' running sum (``np.cumsum``,
-which adds left to right) are numpy's. ``np.log`` would be faster, but it is
-vectorised differently and moves the last bit of some draws (6972 of 2M
-uniforms on an AVX-512 Xeon), which would change every result.
+its jobs once. A draw is -ln(u)/rate with libm's ``log``: the C library
+below calls it over each block of uniforms, and where that library does not
+run, ``math.log``, which calls it too, is mapped over them; the negation and
+the division follow, each rounded once, and the arrival epochs' running sum
+is ``np.cumsum``, which adds left to right. ``np.log`` would be faster, but
+it is vectorised differently and moves the last bit of some draws (6972 of
+2M uniforms on an AVX-512 Xeon), which would change every result.
 
-The event loop only moves the state machine. Each event kind has one branch:
+The event loop moves the state machine. Each event kind has one branch:
 a departure, which comes first, then an update arrival, then a query arrival,
 so simultaneous arrivals serve the update first. A branch checks the horizon
 itself, reads the switching decision from `policy.decision_table`, moves the
@@ -29,20 +30,27 @@ before writing remaining work. The Python loop reads the arrays as lists,
 since indexing an array in a Python loop makes a numpy scalar per read and
 is slower.
 
-The loop runs in C where a C compiler is found. `_event_loop.c` transcribes
-`_python_loop`, which defines it, branch for branch, with the same
-comparisons. It is built at the first replication with
-``cc -O2 -fPIC -shared -ffp-contract=off -std=c99`` into the per-user cache
-``~/.cache/freshsched``, and loaded through ctypes. Its results equal the
-Python loop's to the bit: the loop only adds, subtracts and compares
-doubles, each rounded once in either language, and the build allows no
-contraction into fused multiply-adds and no ``-ffast-math``; the source
-refuses to build where doubles would be evaluated in extended precision.
-Where no compiler is found the Python loop runs; where the build or the load
-fails, it runs after one RuntimeWarning.
+Where a C compiler is found, the loop and the draws run in one C library.
+`_event_loop.c` transcribes `_python_loop`, which defines it, branch for
+branch, with the same comparisons. In the same pass over the events it takes
+every sum of the replication: the n_q and n_u integrals clipped to
+(warmup, horizon], the busy time, the age integral, each class's count and
+sum of system times after the warmup; and it writes the peak-age samples
+into an array, whose mean is ``statistics.fmean``, an exact sum, in Python.
+The library is built at the first replication with
+``cc -O2 -fPIC -shared -ffp-contract=off -std=c99 -lm`` into the per-user
+cache ``~/.cache/freshsched``, and loaded through ctypes. Its results equal
+the Python path's to the bit: the loop computes each term as the numpy
+post-passes below do and adds it in their order, each operation on doubles
+rounded once in either language; the build allows no contraction into fused
+multiply-adds and no ``-ffast-math``, and the source refuses to build where
+doubles would be evaluated in extended precision. Where no compiler is
+found the Python loop runs; where the build or the load fails, it runs after
+one RuntimeWarning.
 
-Every metric is computed after the loop, in numpy, from the arrival and
-departure epochs. `occupancy` merges the epochs in time order and steps the
+On that path every sum is computed after the loop, in numpy, from the
+arrival and departure epochs; these post-passes are also the oracle of the C
+library's sums. `occupancy` merges the epochs in time order and steps the
 n_q and n_u integrals and the busy time from one event to the next, as the
 loop would. `age_metrics` gives the age integral and the peak-age samples,
 and `_system_times` the system times of each class. Every sum adds its terms
@@ -54,6 +62,7 @@ the mean age can differ from a loop's in its last bits.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import math
@@ -105,8 +114,10 @@ def exponential_draws(rate: float, stream, n: int) -> np.ndarray:
 
     The uniforms come in blocks from ``stream.random(size)``, and a zero is
     skipped, so the draws are those of n one-at-a-time draws that redraw a
-    zero. ``math.log`` keeps every value bit-identical to such a draw, where
-    ``np.log`` would move the last bit of some.
+    zero. The log is libm's, which keeps every value bit-identical to such a
+    draw, where ``np.log`` would move the last bit of some: the C library's
+    kernel calls it where `_compiled_loop` loaded the library, and else
+    ``math.log``, which calls it too, is mapped over the uniforms.
     """
     if rate <= 0:
         raise ValueError("rate must be positive")
@@ -115,6 +126,11 @@ def exponential_draws(rate: float, stream, n: int) -> np.ndarray:
     while len(u) < n:
         more = stream.random(n - len(u))
         u = np.concatenate((u, more[more > 0.0]))
+    library = _compiled_loop() if COMPILED_LOOP else None
+    if library is not None:
+        draws = np.empty(n)
+        library.freshsched_exponential(u, n, rate, draws)
+        return draws
     draws = np.fromiter(map(math.log, u.tolist()), float, n)
     np.negative(draws, out=draws)
     draws /= rate
@@ -379,24 +395,27 @@ def _python_loop(jobs, policy, horizon):
             np.frombuffer(depart_q), remain_u, remain_q)
 
 
-# False runs `_python_loop` where the C loop would run; tests set it
+# False runs `_python_loop` and the post-passes, and draws with `math.log`,
+# where the C library would run; tests set it
 COMPILED_LOOP = True
 _SOURCE = Path(__file__).with_name("_event_loop.c")
 _COMPILER = "cc"
-# no -ffast-math, and no contraction of a*b + c into one rounding
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99")
+# no -ffast-math, no contraction of a*b + c into one rounding, and libm's log
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99", "-lm")
 
 
 @lru_cache(maxsize=None)
 def _compiled_loop():
-    """The C event loop, built on first use into the per-user cache
+    """The C library of `_event_loop.c`, with the event loop and the draw
+    kernel, built on first use into the per-user cache
     ``~/.cache/freshsched`` and loaded; None where no compiler is found, or,
     after one warning, where the build or the load fails.
 
     The library's name is a hash of the source, the flags and the machine,
     so a changed source is built anew. A build writes into a temporary
     directory and publishes the library with `os.replace`, so a process
-    never loads a half-written file.
+    never loads a half-written file, and then removes the libraries of other
+    sources or flags. A process that has one of those loaded keeps it.
     """
     compiler = shutil.which(_COMPILER)
     if compiler is None:
@@ -405,15 +424,21 @@ def _compiled_loop():
         source = _SOURCE.read_bytes()
         key = hashlib.sha256(b"\0".join((source, " ".join(_CFLAGS).encode(),
                                           platform.machine().encode()))).hexdigest()
-        library = Path.home() / ".cache" / "freshsched" / f"event_loop-{key[:16]}.so"
-        if not library.exists():
-            library.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
-            with tempfile.TemporaryDirectory(dir=library.parent) as scratch:
-                built = os.path.join(scratch, library.name)
-                subprocess.run([compiler, *_CFLAGS, "-o", built, str(_SOURCE)],
+        path = Path.home() / ".cache" / "freshsched" / f"event_loop-{key[:16]}.so"
+        if not path.exists():
+            path.parent.mkdir(mode=0o700, parents=True, exist_ok=True)
+            with tempfile.TemporaryDirectory(dir=path.parent) as scratch:
+                built = os.path.join(scratch, path.name)
+                # the source before -lm: the linker takes a library for the
+                # files named before it
+                subprocess.run([compiler, str(_SOURCE), "-o", built, *_CFLAGS],
                                check=True, capture_output=True, text=True, timeout=120)
-                os.replace(built, library)
-        loop = ctypes.CDLL(str(library)).freshsched_event_loop
+                os.replace(built, path)
+            for stale in path.parent.glob("event_loop-*.so"):
+                if stale != path:
+                    with contextlib.suppress(OSError):
+                        stale.unlink()
+        library = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError) as error:
         # the compiler's first line of complaint, else what failed
         reason = getattr(error, "stderr", None)
@@ -424,27 +449,55 @@ def _compiled_loop():
         return None
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     written = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS,WRITEABLE")
+    loop = library.freshsched_event_loop
     loop.argtypes = (np.ctypeslib.ndpointer(np.int8, flags="C_CONTIGUOUS"),
                      ctypes.c_int64, ctypes.c_int64, doubles, doubles, written, written,
-                     written, written, ctypes.c_double,
-                     np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"))
+                     written, written, ctypes.c_double, ctypes.c_double,
+                     np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
+                     written, written)
     loop.restype = ctypes.c_double
-    return loop
+    draw = library.freshsched_exponential
+    draw.argtypes = (doubles, ctypes.c_int64, ctypes.c_double, written)
+    draw.restype = None
+    return library
 
 
-def _run_compiled(loop, jobs, policy, horizon):
-    """`_python_loop`'s results from the C loop ``loop``, with the remaining
-    work and the departure epochs in arrays."""
+def _run_compiled(library, jobs, policy, warmup, horizon):
+    """`_python_loop`'s results, with the remaining work and the departure
+    epochs in arrays, and `_post_passes`' sums, from the C library."""
     at_u, at_q, work_u, work_q = jobs
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
-    state = np.empty(5, np.int64)
+    paoi = np.empty_like(remain_u)
+    state = np.empty(7, np.int64)
+    sums = np.empty(6)
     cap_q, cap_u, table = decision_table(policy)
-    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
-                      horizon, state)
+    completion = library.freshsched_event_loop(
+        table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+        warmup, horizon, state, sums, paoi)
     if math.isnan(completion):
         raise RuntimeError(f"the decision table of {policy} led to no server position")
-    return completion, tuple(map(int, state)), depart_u, depart_q, remain_u, remain_q
+    *end, responses, updates = map(int, state)
+    nq_integral, nu_integral, busy_time, age_integral, response_sum, update_sum = sums.tolist()
+    return ((completion, tuple(end), depart_u, depart_q, remain_u, remain_q),
+            (responses, response_sum, updates, update_sum, nq_integral, nu_integral,
+             busy_time, age_integral, paoi[:updates].tolist()))
+
+
+def _post_passes(jobs, end, warmup, horizon):
+    """The sums of a replication, in numpy, from the epochs of the jobs and
+    of `_python_loop`'s departures (``end``): the count and the sum of the
+    query system times and of the update system times, the n_q and n_u
+    integrals, the busy time, the age integral and the peak-age samples.
+
+    They are the fallback's path, and the oracle of the C library's sums.
+    """
+    at_u, at_q = jobs[:2]
+    _, (_, _, h_q, h_u, _), depart_u, depart_q = end[:4]
+    done_u, done_q = depart_u[:h_u], depart_q[:h_q]
+    return (*_system_times(at_q, done_q, warmup), *_system_times(at_u, done_u, warmup),
+            *occupancy(at_q[:-1], done_q, at_u[:-1], done_u, warmup, horizon),
+            *age_metrics(at_u, done_u, warmup, horizon))
 
 
 def _simulate(params, policy, config, rep_index, collect_jobs):
@@ -459,19 +512,15 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
         if not (len(arrivals) and arrivals[-1] > horizon and len(work) >= len(arrivals) - 1):
             raise ValueError("jobs need an arrival past the horizon and a service "
                              "requirement for each arrival before it")
-    compiled = _compiled_loop() if COMPILED_LOOP else None
-    if compiled is None:
+    library = _compiled_loop() if COMPILED_LOOP else None
+    if library is None:
         end = _python_loop(jobs, policy, horizon)
+        sums = _post_passes(jobs, end, warmup, horizon)
     else:
-        end = _run_compiled(compiled, jobs, policy, horizon)
+        end, sums = _run_compiled(library, jobs, policy, warmup, horizon)
     completion, (n_q, n_u, h_q, h_u, pos), depart_u, depart_q, remain_u, remain_q = end
-
-    done_u, done_q = depart_u[:h_u], depart_q[:h_q]
-    resp_n, resp_sum = _system_times(at_q, done_q, warmup)
-    completed_updates, usys_sum = _system_times(at_u, done_u, warmup)
-    nq_integral, nu_integral, busy_time = occupancy(at_q[:-1], done_q, at_u[:-1], done_u,
-                                                    warmup, horizon)
-    age_integral, paoi_samples = age_metrics(at_u, done_u, warmup, horizon)
+    (resp_n, resp_sum, completed_updates, usys_sum, nq_integral, nu_integral, busy_time,
+     age_integral, paoi_samples) = sums
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(
@@ -490,8 +539,10 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
 
     # plain floats in the records
     arrive_u, arrive_q, work_u, work_q = (stream.tolist() for stream in jobs)
-    jobs = ([JobRecord(JobClass.QUERY, *job) for job in zip(arrive_q, work_q, done_q.tolist())]
-            + [JobRecord(JobClass.UPDATE, *job) for job in zip(arrive_u, work_u, done_u.tolist())])
+    jobs = ([JobRecord(JobClass.QUERY, *job)
+             for job in zip(arrive_q, work_q, depart_q[:h_q].tolist())]
+            + [JobRecord(JobClass.UPDATE, *job)
+               for job in zip(arrive_u, work_u, depart_u[:h_u].tolist())])
     completed_service = sum(job.service_requirement for job in jobs)
     arrived_service = sum(work_q) + sum(work_u)
     residual_work = 0.0

@@ -1,15 +1,18 @@
-"""The compiled event loop (`_event_loop.c`) against the Python loop that
-defines it, and how it is built, cached and given up.
+"""The C library (`_event_loop.c`) against the Python it replaces: its event
+loop and sums against `_python_loop` and the numpy post-passes, its draws
+against `math.log`; and how it is built, cached and given up.
 
 The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
 """
+import ctypes
 import os
 import re
 import shutil
 import stat
 import subprocess
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,10 +33,14 @@ POLICIES = [Fcfs(), QueryK(1), QueryK(3), UpdateK(1), UpdateK(3), JointMN(3, 3),
 LOADS = [(0.3, 0.3, 1, 1), (0.45, 0.45, 1, 1), (0.85, 0.1, 1, 1), (0.1, 0.85, 1, 1),
          (0.6, 0.6, 1, 2)]
 CONFIG = SimConfig(1500.0, 0.0, 4, 7)
+# the C loop clips its integrals and its samples at the warmup
+WARM = SimConfig(1500.0, 300.0, 4, 7)
 
 
 def run_on(monkeypatch, compiled, *args):
+    # the jobs are drawn anew, with the draw of that setting
     monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+    simulator.draw_jobs.cache_clear()
     return run_replication_detailed(*args)
 
 
@@ -56,10 +63,11 @@ def test_the_c_loop_is_the_python_loop(monkeypatch, policy, rates):
     lambda_u, lambda_q, mu_u, mu_q = rates
     params = validate_params(lambda_u, mu_u, lambda_q, mu_q)
     assert simulator._compiled_loop() is not None
-    for rep in range(CONFIG.replications):
-        compiled = run_on(monkeypatch, True, params, policy, CONFIG, rep)
-        assert run_replication(params, policy, CONFIG, rep) == compiled[0]
-        assert run_on(monkeypatch, False, params, policy, CONFIG, rep) == compiled
+    for config in (CONFIG, WARM):
+        for rep in range(config.replications):
+            compiled = run_on(monkeypatch, True, params, policy, config, rep)
+            assert run_replication(params, policy, config, rep) == compiled[0]
+            assert run_on(monkeypatch, False, params, policy, config, rep) == compiled
 
 
 # each equals the scalar oracle of `reference_simulator` on every policy, to
@@ -133,6 +141,7 @@ SHORT = SimConfig(500.0, 0.0, 2, 3)
 def python_runs(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(simulator, "COMPILED_LOOP", False)
+        simulator.draw_jobs.cache_clear()
         return [run_replication(PARAMS, QueryK(2), SHORT, rep) for rep in range(2)]
 
 
@@ -185,9 +194,43 @@ def test_a_fresh_loader_reuses_the_cached_library(monkeypatch, fresh_loader):
 
 
 @needs_compiler
+def test_a_build_removes_the_libraries_of_other_sources(fresh_loader):
+    fresh_loader.mkdir(mode=0o700, parents=True)
+    stale = fresh_loader / "event_loop-0000000000000000.so"
+    stale.write_bytes(b"a library of an older source")
+    kept = fresh_loader / "notes.txt"
+    kept.write_text("not a library")
+    run_replication(PARAMS, QueryK(2), SHORT, 0)
+    [library] = fresh_loader.glob("event_loop-*.so")
+    assert library != stale
+    assert kept.read_text() == "not a library"
+
+
+@needs_compiler
 def test_the_source_compiles_without_warnings(tmp_path):
-    built = subprocess.run([shutil.which(simulator._COMPILER), *simulator._CFLAGS,
-                            "-Wall", "-Wextra", "-Werror", "-o", os.fspath(tmp_path / "loop.so"),
-                            os.fspath(simulator._SOURCE)], capture_output=True, text=True)
+    library = tmp_path / "loop.so"
+    # in the order of the build: the source before -lm
+    built = subprocess.run([shutil.which(simulator._COMPILER), os.fspath(simulator._SOURCE),
+                            "-o", os.fspath(library), *simulator._CFLAGS,
+                            "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     assert built.stderr == ""
+    # `simulator` calls both by name: a renamed one fails here, not at a draw
+    loaded = ctypes.CDLL(os.fspath(library))
+    for name in ("freshsched_event_loop", "freshsched_exponential"):
+        assert hasattr(loaded, name), name
+
+
+@needs_compiler
+@pytest.mark.parametrize("rate", [1.0, 0.37, 0.85])
+def test_the_c_draw_is_the_python_draw_to_the_bit(monkeypatch, rate):
+    assert simulator._compiled_loop() is not None
+    # 2M uniforms, then the smallest double, 2**-53 and the largest double below 1
+    u = np.concatenate((np.random.default_rng(round(rate * 100)).random(2_000_000),
+                        [5e-324, 2.0 ** -53, 1.0 - 2.0 ** -53]))
+    stream = SimpleNamespace(random=lambda size: u[:size])
+    draws = {}
+    for compiled in (True, False):  # the C library's kernel, then math.log
+        monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+        draws[compiled] = simulator.exponential_draws(rate, stream, len(u))
+    assert np.array_equal(draws[True].view(np.int64), draws[False].view(np.int64))
