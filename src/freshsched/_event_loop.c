@@ -1,13 +1,13 @@
-/* The simulator's event loop, transcribed from simulator._python_loop, which
-   defines it: the same branches in the same order, the same comparisons and
-   INFINITY for math.inf. It also takes every sum of a replication in the one
-   pass over the events, each term computed as the numpy post-passes of
-   `simulator` compute it and added in the order they add it. The loop only
-   adds, subtracts, multiplies, divides and compares doubles, so with
-   contraction off (-ffp-contract=off) and no -ffast-math every value it
-   writes is the Python loop's and the post-passes', to the bit. The second
-   function is the draw -log(u)/rate with libm's log, which math.log calls too.
-   `simulator` builds this file on first use and calls it through ctypes. */
+/* The simulator's event loop, transcribed from `simulator._python_loop`,
+   which defines it: the same branches in the same order, the same
+   comparisons and INFINITY for math.inf. Its sums are the Python loop's too,
+   each term computed as it computes it and added in the same order, in the
+   one pass over the events. The loop only adds, subtracts, multiplies,
+   divides and compares doubles, so with contraction off (-ffp-contract=off)
+   and no -ffast-math every value it writes is the Python loop's, to the
+   bit. The second function is the draw -log(u)/rate with libm's log, which
+   math.log calls too. `simulator` builds this file on first use and calls
+   it through ctypes. Backquotes mark Python names. */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -22,11 +22,12 @@
 enum { IDLE = 0, SERVE_Q = 1, SERVE_U = 2, OLDER_HEAD = -1 };
 enum { ARRIVE_U = 0, ARRIVE_Q = 1, DEPART_U = 2, DEPART_Q = 3 };
 
-/* the sums that `sum` holds, in this order */
+/* the sums that sum[] holds, in this order */
 enum { NQ, NU, BUSY, AGE, RESPONSE, UPDATE_SYSTEM, SUMS };
 
 /* Adds the interval (*last, t] to the n_q and n_u integrals, clipped to
-   (warmup, t], and to the busy time, and moves *last to t; as `occupancy`. */
+   (warmup, t], and to the busy time, and moves *last to t; as `_python_loop`
+   does after each event. */
 static void occupy(double t, int64_t n_q, int64_t n_u, double warmup, double *last,
                    double *sum)
 {
@@ -41,7 +42,7 @@ static void occupy(double t, int64_t n_q, int64_t n_u, double warmup, double *la
 }
 
 /* The integral of the age t - g over (t0, t1] clipped to (warmup, horizon];
-   as `_age_areas`. */
+   as `_python_loop` takes it at each delivery. */
 static double age_area(double g, double t0, double t1, double warmup, double horizon)
 {
     double a = t0 > warmup ? t0 : warmup, b = t1 < horizon ? t1 : horizon;
@@ -52,15 +53,15 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
     return (b * b - a * a) / 2.0;
 }
 
-/* `moves` is the array of policy.decision_table: each position's rules on
+/* moves[] is the array of `policy.decision_table`: each position's rules on
    its 4 triggers, each a (cap_q + 1) x (cap_u + 1) table of positions that
-   holds NO_POSITION, a code past SERVE_U, where the trigger cannot fire.
-   The arrival epochs run through the first one past the horizon; `remain_*`
-   start as the service requirements and take the remaining work of
-   preempted heads. Returns the pending completion epoch; writes n_q, n_u,
-   h_q, h_u, the position and the counts of queries and of updates that
-   departed after the warmup into `state`, the sums into `sum`, and one
-   peak-age sample per update that departed after the warmup into `paoi`.
+   holds `NO_POSITION`, a code past SERVE_U, where the trigger cannot fire.
+   The arrival epochs run through the first one past the horizon; remain_u
+   and remain_q start as the service requirements and take the remaining
+   work of preempted heads. Returns the pending completion epoch; writes n_q,
+   n_u, h_q, h_u, the position and the counts of queries and of updates that
+   departed after the warmup into state[], the sums into sum[], and one
+   peak-age sample per update that departed after the warmup into paoi[].
    Returns NaN if the table leads to no position. */
 double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
                              const double *arrive_u, const double *arrive_q,
@@ -180,7 +181,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
     return completion;
 }
 
-/* out[i] = -log(u[i]) / rate for i < n, as simulator.exponential_draws
+/* out[i] = -log(u[i]) / rate for i < n, as `simulator.exponential_draws`
    takes it in Python: libm's log, negated, then divided once. */
 void freshsched_exponential(const double *u, int64_t n, double rate, double *out)
 {

@@ -18,47 +18,44 @@ it is vectorised differently and moves the last bit of some draws (6972 of
 The event loop moves the state machine. Each event kind has one branch:
 a departure, which comes first, then an update arrival, then a query arrival,
 so simultaneous arrivals serve the update first. A branch checks the horizon
-itself, reads the switching decision from `policy.decision_table`, moves the
-queue counts and heads and, on a change of position, banks the remaining
-work of a preempted head. A position's rules are read from the table only
-when the position changes. A departure writes its epoch at the departing
-head's index into a preallocated array and starts the next job directly,
-since the departed head has no work to bank. Within a class service is FIFO
-preempt-resume, so each queue is a head index into its class's arrays and
-only the head can be part-served; the loop copies the service requirements
-before writing remaining work. The Python loop reads the arrays as lists,
-since indexing an array in a Python loop makes a numpy scalar per read and
-is slower.
+itself, adds the interval since the last event to the sums, reads the
+switching decision from `policy.decision_table`, moves the queue counts and
+heads and, on a change of position, banks the remaining work of a preempted
+head. A position's rules are read from the table only when the position
+changes. A departure writes its epoch at the departing head's index into a
+preallocated array, adds its system time and, for an update, its peak-age
+sample and the age area since the last delivery, then starts the next job
+directly, since the departed head has no work to bank. Within a class
+service is FIFO preempt-resume, so each queue is a head index into its
+class's arrays, only the head can be part-served and updates are delivered
+in generation order; the loop copies the service requirements before
+writing remaining work. The Python loop reads the arrays as lists, since
+indexing an array in a Python loop makes a numpy scalar per read and is
+slower.
+
+So every sum of a replication is taken in the one pass over the events: the
+n_q and n_u integrals clipped to (warmup, horizon], the busy time over
+(0, horizon], the age integral, and each class's count and sum of system
+times after the warmup; the peak-age samples are kept, and their mean is
+``statistics.fmean``, an exact sum. The age starts at 0 at t = 0, as if an
+update generated then were delivered, so the first peak spans from time 0;
+each peak is (inter-arrival) + (system time) from the raw timestamps, the
+defining decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012). The
+age areas square as ``x * x``: ``x ** 2`` calls libm's pow, which is not
+correctly rounded on every input.
 
 Where a C compiler is found, the loop and the draws run in one C library.
-`_event_loop.c` transcribes `_python_loop`, which defines it, branch for
-branch, with the same comparisons. In the same pass over the events it takes
-every sum of the replication: the n_q and n_u integrals clipped to
-(warmup, horizon], the busy time, the age integral, each class's count and
-sum of system times after the warmup; and it writes the peak-age samples
-into an array, whose mean is ``statistics.fmean``, an exact sum, in Python.
-The library is built at the first replication with
+`_event_loop.c` transcribes `_python_loop`, which defines it, line for line,
+sums included: the same branches, comparisons and operations, and each term
+added in the same order. The library is built at the first replication with
 ``cc -O2 -fPIC -shared -ffp-contract=off -std=c99 -lm`` into the per-user
 cache ``~/.cache/freshsched``, and loaded through ctypes. Its results equal
-the Python path's to the bit: the loop computes each term as the numpy
-post-passes below do and adds it in their order, each operation on doubles
-rounded once in either language; the build allows no contraction into fused
+the Python loop's to the bit, since each operation on doubles is rounded
+once in either language: the build allows no contraction into fused
 multiply-adds and no ``-ffast-math``, and the source refuses to build where
 doubles would be evaluated in extended precision. Where no compiler is
 found the Python loop runs; where the build or the load fails, it runs after
 one RuntimeWarning.
-
-On that path every sum is computed after the loop, in numpy, from the
-arrival and departure epochs; these post-passes are also the oracle of the C
-library's sums. `occupancy` merges the epochs in time order and steps the
-n_q and n_u integrals and the busy time from one event to the next, as the
-loop would. `age_metrics` gives the age integral and the peak-age samples,
-and `_system_times` the system times of each class. Every sum adds its terms
-left to right with `np.cumsum`, in the order a loop adds them, so each sum
-equals the loop's to the bit; `np.sum` adds pairwise and `math.fsum` exactly,
-and either would move last bits. The age areas square as `x * x`. A loop's
-`x ** 2` calls libm's pow, which is not correctly rounded on every input, so
-the mean age can differ from a loop's in its last bits.
 """
 from __future__ import annotations
 
@@ -103,10 +100,6 @@ class SimConfig:
             raise ValueError("replications must be >= 1")
         if self.base_seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.base_seed}")
-
-
-class OutOfOrderDeparture(RuntimeError):
-    """An update departed with an older generation time than one already delivered."""
 
 
 def exponential_draws(rate: float, stream, n: int) -> np.ndarray:
@@ -185,93 +178,6 @@ def draw_jobs(params: ModelParams, config: SimConfig,
     return jobs
 
 
-def _sum_in_order(terms: np.ndarray) -> float:
-    """The sum of ``terms`` added left to right, as a loop adds them; 0.0 if
-    there are none. It overwrites ``terms`` with the running sums.
-
-    ``np.cumsum`` adds in that order. ``np.sum`` adds pairwise and
-    ``math.fsum`` exactly, and either would move last bits.
-    """
-    return float(np.cumsum(terms, out=terms)[-1]) if len(terms) else 0.0
-
-
-def _age_areas(g, t0, t1, warmup: float, horizon: float) -> np.ndarray:
-    """Integrals of the age t - g over (t0, t1] clipped to (warmup, horizon].
-
-    The squares are ``x * x``: ``x ** 2`` calls libm's pow, which is not
-    correctly rounded on every input.
-    """
-    a = np.maximum(t0, warmup)
-    b = np.minimum(t1, horizon)
-    kept = b > a
-    a -= g
-    b -= g
-    return np.where(kept, (b * b - a * a) / 2.0, 0.0)
-
-
-def age_metrics(generations: Sequence[float], departures: Sequence[float],
-                warmup: float, horizon: float) -> Tuple[float, List[float]]:
-    """Integral of the age over (warmup, horizon] and one peak-age sample per
-    update delivered in that window.
-
-    The update generated at ``generations[i]`` is delivered at
-    ``departures[i]``, in departure order; ``generations`` may run past the
-    last departure. The age starts at 0 at t = 0, as if an update generated
-    then were delivered, so the first peak spans from time 0. Each peak is
-    (inter-arrival) + (system time) from the raw timestamps, the defining
-    decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012).
-    """
-    now = np.asarray(departures, dtype=float)
-    generation = np.asarray(generations, dtype=float)[:len(now)]
-    # from each delivery to the next, then from the last one to the horizon:
-    # the freshest delivered generation and the ends, all 0 before the first
-    g = np.concatenate(([0.0], generation))
-    t = np.concatenate(([0.0], now, [horizon]))
-    bad = np.flatnonzero((generation > now) | (generation < g[:-1]))
-    if bad.size:
-        i = bad[0]
-        if generation[i] > now[i]:
-            raise ValueError("generation_time after departure time")
-        raise OutOfOrderDeparture(f"update generated at {float(generation[i])} "
-                                  f"delivered after one from {float(g[i])}")
-    in_window = (now > warmup) & (now <= horizon)
-    samples = ((generation - g[:-1]) + (now - generation))[in_window].tolist()
-    return _sum_in_order(_age_areas(g, t[:-1], t[1:], warmup, horizon)), samples
-
-
-def occupancy(arrive_q, depart_q, arrive_u, depart_u,
-              warmup: float, horizon: float) -> Tuple[float, float, float]:
-    """Time integrals of n_q and n_u over (warmup, horizon], and the busy time
-    over (0, horizon], from the epochs of the arrivals inside the horizon and
-    of the departures.
-
-    The epochs are merged in time order and the counts stepped from one event
-    to the next, as the event loop moved them. Tied epochs bound intervals of
-    length 0, which add 0.0, so the order of tied events does not matter.
-    Every policy is work-conserving, so the server is busy iff a queue is
-    nonempty.
-    """
-    # time 0, the events, then the horizon, which ends the last interval
-    epochs = np.concatenate(([0.0], arrive_q, depart_q, arrive_u, depart_u, [horizon]))
-    order = np.argsort(epochs, kind="stable")
-    sizes = (1, len(arrive_q), len(depart_q), len(arrive_u), len(depart_u), 1)
-    # the counts from each epoch to the next
-    n_q, n_u = (np.cumsum(np.repeat(np.array(steps, np.int8), sizes)[order[:-1]],
-                          dtype=np.int32)
-                for steps in ((0, 1, -1, 0, 0, 0), (0, 0, 0, 1, -1, 0)))
-    t = epochs[order]
-    del epochs, order  # freed before the arrays of the intervals are made
-    start, end = t[:-1], t[1:]
-    # each interval's part after the warmup, written in place
-    dt = np.maximum(start, warmup)
-    np.subtract(end, dt, out=dt)
-    np.maximum(dt, 0.0, out=dt)
-    nq_integral, nu_integral = _sum_in_order(n_q * dt), _sum_in_order(n_u * dt)
-    busy = np.subtract(end, start, out=dt)
-    busy[n_q + n_u == 0] = 0.0
-    return nq_integral, nu_integral, _sum_in_order(busy)
-
-
 @dataclass
 class ReplicationDetail:
     """Extra per-run data for invariant checks (not part of the metrics).
@@ -285,14 +191,6 @@ class ReplicationDetail:
     residual_work: float
 
 
-def _system_times(arrivals: np.ndarray, departures: np.ndarray,
-                  warmup: float) -> Tuple[int, float]:
-    """Count and sum of the system times of the jobs that departed after warmup."""
-    after = departures > warmup
-    times = (departures - arrivals[:len(departures)])[after]
-    return len(times), _sum_in_order(times)
-
-
 def run_replication(params: ModelParams, policy, config: SimConfig,
                     rep_index: int) -> ReplicationMetrics:
     metrics, _ = _simulate(params, policy, config, rep_index, collect_jobs=False)
@@ -304,13 +202,18 @@ def run_replication_detailed(params: ModelParams, policy, config: SimConfig,
     return _simulate(params, policy, config, rep_index, collect_jobs=True)
 
 
-def _python_loop(jobs, policy, horizon):
+def _python_loop(jobs, policy, warmup, horizon):
     """The event loop in Python: the definition of `_event_loop.c`, and what
     runs where that is not built.
 
-    Returns the pending completion epoch, (n_q, n_u, h_q, h_u, position) at
-    the end, each class's departure epochs as an array whose first h entries
-    are written, and each class's remaining work.
+    Returns the end of the run: the pending completion epoch, (n_q, n_u,
+    h_q, h_u, position), each class's departure epochs as an array whose
+    first h entries are written, and each class's remaining work. Then its
+    sums: the count and sum of the query system times and of the update
+    system times after the warmup, the n_q and n_u integrals clipped to
+    (warmup, horizon], the busy time, the age integral and one peak-age
+    sample per update that departed after the warmup. Each sum adds one
+    term per event, in the order of the events.
     """
     # each class: arrival epochs (the last one past the horizon), remaining
     # work (the service requirements, written on preemption) and departure
@@ -333,6 +236,11 @@ def _python_loop(jobs, policy, horizon):
     pos = Z_IDLE
     on_u, on_q, on_done = moves[pos]
     completion = inf
+    # the last event; the freshest delivered generation and its delivery
+    last = g = delivered = 0.0
+    nq_integral = nu_integral = busy = age = response_sum = update_sum = 0.0
+    responses = 0  # departed after the warmup, as the peak-age samples
+    paoi = []
 
     while True:
         i = n_q if n_q < cap_q else cap_q
@@ -341,13 +249,38 @@ def _python_loop(jobs, policy, horizon):
             t = completion
             if t > horizon:
                 break
+            # the interval since the last event, as each branch adds it; C
+            # calls a function for it, which here would cost a call per event
+            dt = t - (last if last > warmup else warmup)
+            if dt > 0:
+                nq_integral += n_q * dt
+                nu_integral += n_u * dt
+            if n_q + n_u > 0:  # every policy is work-conserving
+                busy += t - last
+            last = t
             new = on_done[i][j]
             if pos == serve_q:
                 depart_q[h_q] = t
+                if t > warmup:
+                    responses += 1
+                    response_sum += t - arrive_q[h_q]
                 n_q -= 1
                 h_q += 1
             else:
+                generation = arrive_u[h_u]
                 depart_u[h_u] = t
+                if t > warmup:
+                    update_sum += t - generation
+                    paoi.append((generation - g) + (t - generation))
+                # the age t - g over (delivered, t] clipped to (warmup, horizon];
+                # squares as x * x, since x ** 2 calls libm's pow
+                a = delivered if delivered > warmup else warmup
+                if t > a:
+                    a -= g
+                    b = t - g
+                    age += (b * b - a * a) / 2.0
+                g = generation
+                delivered = t
                 n_u -= 1
                 h_u += 1
             if new == older_head:
@@ -367,6 +300,13 @@ def _python_loop(jobs, policy, horizon):
             t = next_u
             if t > horizon:
                 break
+            dt = t - (last if last > warmup else warmup)
+            if dt > 0:
+                nq_integral += n_q * dt
+                nu_integral += n_u * dt
+            if n_q + n_u > 0:
+                busy += t - last
+            last = t
             new = on_u[i][j]
             n_u += 1
             next_u = arrive_u[h_u + n_u]
@@ -374,6 +314,13 @@ def _python_loop(jobs, policy, horizon):
             t = next_q
             if t > horizon:
                 break
+            dt = t - (last if last > warmup else warmup)
+            if dt > 0:
+                nq_integral += n_q * dt
+                nu_integral += n_u * dt
+            if n_q + n_u > 0:
+                busy += t - last
+            last = t
             new = on_q[i][j]
             n_q += 1
             next_q = arrive_q[h_q + n_q]
@@ -391,12 +338,26 @@ def _python_loop(jobs, policy, horizon):
             pos = new
             on_u, on_q, on_done = moves[pos]
 
-    return (completion, (n_q, n_u, h_q, h_u, pos), np.frombuffer(depart_u),
-            np.frombuffer(depart_q), remain_u, remain_q)
+    # from the last event, and from the last delivery, to the horizon
+    dt = horizon - (last if last > warmup else warmup)
+    if dt > 0:
+        nq_integral += n_q * dt
+        nu_integral += n_u * dt
+    if n_q + n_u > 0:
+        busy += horizon - last
+    a = delivered if delivered > warmup else warmup
+    if horizon > a:
+        a -= g
+        b = horizon - g
+        age += (b * b - a * a) / 2.0
+    return ((completion, (n_q, n_u, h_q, h_u, pos), np.frombuffer(depart_u),
+             np.frombuffer(depart_q), remain_u, remain_q),
+            (responses, response_sum, len(paoi), update_sum, nq_integral, nu_integral, busy,
+             age, paoi))
 
 
-# False runs `_python_loop` and the post-passes, and draws with `math.log`,
-# where the C library would run; tests set it
+# False runs `_python_loop`, and draws with `math.log`, where the C library
+# would run; tests set it
 COMPILED_LOOP = True
 _SOURCE = Path(__file__).with_name("_event_loop.c")
 _COMPILER = "cc"
@@ -463,8 +424,8 @@ def _compiled_loop():
 
 
 def _run_compiled(library, jobs, policy, warmup, horizon):
-    """`_python_loop`'s results, with the remaining work and the departure
-    epochs in arrays, and `_post_passes`' sums, from the C library."""
+    """`_python_loop`'s end and sums, with the remaining work in arrays,
+    from the C library."""
     at_u, at_q, work_u, work_q = jobs
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
@@ -484,22 +445,6 @@ def _run_compiled(library, jobs, policy, warmup, horizon):
              busy_time, age_integral, paoi[:updates].tolist()))
 
 
-def _post_passes(jobs, end, warmup, horizon):
-    """The sums of a replication, in numpy, from the epochs of the jobs and
-    of `_python_loop`'s departures (``end``): the count and the sum of the
-    query system times and of the update system times, the n_q and n_u
-    integrals, the busy time, the age integral and the peak-age samples.
-
-    They are the fallback's path, and the oracle of the C library's sums.
-    """
-    at_u, at_q = jobs[:2]
-    _, (_, _, h_q, h_u, _), depart_u, depart_q = end[:4]
-    done_u, done_q = depart_u[:h_u], depart_q[:h_q]
-    return (*_system_times(at_q, done_q, warmup), *_system_times(at_u, done_u, warmup),
-            *occupancy(at_q[:-1], done_q, at_u[:-1], done_u, warmup, horizon),
-            *age_metrics(at_u, done_u, warmup, horizon))
-
-
 def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
@@ -513,11 +458,8 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
             raise ValueError("jobs need an arrival past the horizon and a service "
                              "requirement for each arrival before it")
     library = _compiled_loop() if COMPILED_LOOP else None
-    if library is None:
-        end = _python_loop(jobs, policy, horizon)
-        sums = _post_passes(jobs, end, warmup, horizon)
-    else:
-        end, sums = _run_compiled(library, jobs, policy, warmup, horizon)
+    end, sums = (_python_loop(jobs, policy, warmup, horizon) if library is None
+                 else _run_compiled(library, jobs, policy, warmup, horizon))
     completion, (n_q, n_u, h_q, h_u, pos), depart_u, depart_q, remain_u, remain_q = end
     (resp_n, resp_sum, completed_updates, usys_sum, nq_integral, nu_integral, busy_time,
      age_integral, paoi_samples) = sums

@@ -1,11 +1,15 @@
-"""The simulator's scalar bookkeeping, kept as the reference for its numpy
-post-passes.
+"""An independent scalar simulator, kept as the reference for the sums of
+`simulator`'s event loops.
 
-`reference_replication` is the event loop that stepped the n_q and n_u
-integrals and the busy time at every event, followed by the loop forms of
-`age_metrics` and `_system_times`. It reads its jobs from
-`simulator.draw_jobs` and its decisions from `policy.decision_table`, so it
-runs on the same jobs and the same switching rule as `simulator`.
+`reference_replication` is an event loop of another shape than
+`simulator._python_loop`: it finds each event's epoch first and then its
+kind, and steps the n_q and n_u integrals and the busy time at every event.
+The ages and the system times follow in passes over the deliveries,
+`age_metrics` and `system_times`, which check that each update was
+generated before its delivery and delivered in generation order. It reads
+its jobs from `simulator.draw_jobs` and its decisions from
+`policy.decision_table`, so it runs on the same jobs and the same switching
+rule as `simulator`.
 """
 import math
 import statistics
@@ -15,7 +19,11 @@ from freshsched import simulator
 from freshsched.model import JobClass, JobRecord, ReplicationMetrics
 from freshsched.policy import (ARRIVE_Q, ARRIVE_U, DEPART_Q, DEPART_U, OLDER_HEAD, Z_IDLE,
                                Z_QUERY, Z_UPDATE, decision_table)
-from freshsched.simulator import OutOfOrderDeparture, ReplicationDetail
+from freshsched.simulator import ReplicationDetail
+
+
+class OutOfOrderDeparture(RuntimeError):
+    """An update departed with an older generation time than one already delivered."""
 
 
 def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> float:
@@ -27,7 +35,13 @@ def _age_area(g: float, t0: float, t1: float, warmup: float, horizon: float) -> 
 
 def age_metrics(generations: Sequence[float], departures: Sequence[float],
                 warmup: float, horizon: float) -> Tuple[float, List[float]]:
-    """`simulator.age_metrics` as one pass over the deliveries."""
+    """Integral of the age over (warmup, horizon] and one peak-age sample per
+    update delivered in that window, in one pass over the deliveries.
+
+    The update generated at ``generations[i]`` is delivered at
+    ``departures[i]``. The age starts at 0 at t = 0, as if an update
+    generated then were delivered, so the first peak spans from time 0.
+    """
     g = last = integral = 0.0  # freshest delivered generation, its delivery
     samples: List[float] = []
     for generation, now in zip(generations, departures):

@@ -1,11 +1,12 @@
 """The C library (`_event_loop.c`) against the Python it replaces: its event
-loop and sums against `_python_loop` and the numpy post-passes, its draws
-against `math.log`; and how it is built, cached and given up.
+loop and sums against `_python_loop`, which defines them, its draws against
+`math.log`; and how it is built, cached and given up.
 
 The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
 """
 import ctypes
+import functools
 import os
 import re
 import shutil
@@ -19,6 +20,7 @@ import pytest
 import test_postpasses as postpasses
 from test_postpasses import jobs  # noqa: F401  (the fixture the hand-built cases take)
 
+from freshsched import policy as policy_module
 from freshsched import simulator
 from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
 from freshsched.policy import NO_POSITION, OLDER_HEAD, ServerPosition, Trigger, decision_table
@@ -70,13 +72,18 @@ def test_the_c_loop_is_the_python_loop(monkeypatch, policy, rates):
             assert run_on(monkeypatch, False, params, policy, config, rep) == compiled
 
 
-# each equals the scalar oracle of `reference_simulator` on every policy, to
-# the bit, so run on both loops they show the loops equal on that case
+# each equals the scalar oracle of `reference_simulator` or values worked out
+# by hand on every policy, to the bit, so run on both loops they show the
+# loops equal on that case
 HAND_BUILT = [postpasses.test_departure_at_an_arrival_epoch,
               postpasses.test_simultaneous_update_and_query_arrivals,
               postpasses.test_arrival_and_departure_at_the_horizon,
               postpasses.test_warmup_at_an_event_epoch,
-              postpasses.test_a_class_with_no_departures]
+              postpasses.test_a_class_with_no_departures,
+              postpasses.test_two_update_hand_trace,
+              postpasses.test_zero_delay_service_resets_age_to_zero,
+              postpasses.test_warmup_clips_integral_and_samples,
+              postpasses.test_age_integral_nondecreasing]
 
 
 @pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
@@ -125,13 +132,22 @@ def enum_codes(source):
 def test_the_c_loop_shares_the_codes_of_policy():
     # needs no compiler: the C loop indexes the table by these codes, so a
     # renumbering in `policy` alone would have it read the wrong rules
-    assert enum_codes(simulator._SOURCE.read_text()) == {
+    source = simulator._SOURCE.read_text()
+    assert enum_codes(source) == {
         "IDLE": ServerPosition.IDLE, "SERVE_Q": ServerPosition.SERVING_QUERY,
         "SERVE_U": ServerPosition.SERVING_UPDATE, "OLDER_HEAD": OLDER_HEAD,
         "ARRIVE_U": Trigger.ARRIVAL_UPDATE, "ARRIVE_Q": Trigger.ARRIVAL_QUERY,
         "DEPART_U": Trigger.DEPARTURE_UPDATE, "DEPART_Q": Trigger.DEPARTURE_QUERY}
     # the C loop's guard `new > SERVE_U` catches NO_POSITION only past them
     assert NO_POSITION > max(ServerPosition)
+    # its comments cite the Python they transcribe in backquotes, each name
+    # one of `simulator` or `policy` or of theirs: a renamed one cites nothing
+    scope = {**vars(policy_module), **vars(simulator),
+             "simulator": simulator, "policy": policy_module}
+    for name in set(re.findall(r"`([\w.]+)`", source)):
+        first, *rest = name.split(".")
+        assert first in scope, name
+        functools.reduce(getattr, rest, scope[first])
 
 
 PARAMS = validate_params(0.5, 1, 0.3, 1)

@@ -1,17 +1,17 @@
-"""The simulator's numpy post-passes against the scalar loop they replaced
-(`reference_simulator`): the occupancy integrals, the busy time, the age and
-the system times."""
+"""The simulator's sums against the scalar loop of `reference_simulator`: the
+occupancy integrals, the busy time, the age, the peak-age samples and the
+system times, on drawn jobs and on hand-built ones whose values are worked
+out by hand. `test_event_loop` runs the hand-built cases on both loops.
+"""
 import dataclasses
 
 import numpy as np
 import pytest
-from reference_simulator import age_metrics as reference_age_metrics
 from reference_simulator import reference_replication
 
 from freshsched import simulator
 from freshsched.model import Fcfs, JointMN, QueryK, UpdateK, validate_params
-from freshsched.simulator import (OutOfOrderDeparture, SimConfig, age_metrics, run_replication,
-                                  run_replication_detailed)
+from freshsched.simulator import SimConfig, run_replication, run_replication_detailed
 
 # Joint-(1, 1) switches on nearly every arrival
 POLICIES = [Fcfs(), QueryK(1), QueryK(3), UpdateK(1), UpdateK(3), JointMN(3, 3), JointMN(1, 5),
@@ -32,12 +32,12 @@ def assert_same_run(params, policy, config, rep):
     expected, expected_detail = reference_replication(params, policy, config, rep)
     assert run_replication(params, policy, config, rep) == metrics
     assert detail == expected_detail
-    # the age areas square as x * x, the loop as x ** 2, which calls libm's
-    # pow; pow is not correctly rounded on every input, so the age integral
-    # may differ from the loop's in its last bits
+    # the age areas square as x * x, the reference as x ** 2, which calls
+    # libm's pow; pow is not correctly rounded on every input, so the age
+    # integral may differ from the reference's in its last bits
     assert metrics.mean_aoi == pytest.approx(expected.mean_aoi, rel=1e-13, abs=0.0)
     assert dataclasses.replace(metrics, mean_aoi=expected.mean_aoi) == expected
-    return metrics, expected
+    return metrics, detail, expected
 
 
 @pytest.mark.parametrize("warmup", [0.0, 300.0])
@@ -64,15 +64,18 @@ def jobs(monkeypatch):
     return use
 
 
-def run_all(warmup=0.0):
-    """Every policy on the replaced jobs, each run equal to the loop's, to the bit."""
-    params = validate_params(0.5, 1, 0.3, 1)
-    config = SimConfig(HORIZON, warmup, 1, 1)
+PARAMS = validate_params(0.5, 1, 0.3, 1)
+
+
+def run_all(warmup=0.0, horizon=HORIZON):
+    """Every policy's metrics and detail on the replaced jobs, each run equal
+    to the reference's, to the bit."""
     runs = []
     for policy in POLICIES:
-        metrics, expected = assert_same_run(params, policy, config, 0)
+        metrics, detail, expected = assert_same_run(PARAMS, policy,
+                                                    SimConfig(horizon, warmup, 1, 1), 0)
         assert metrics == expected
-        runs.append(metrics)
+        runs.append((metrics, detail))
     return runs
 
 
@@ -92,7 +95,7 @@ def test_arrival_and_departure_at_the_horizon(jobs):
     # an update arrives at the horizon, a query departs there
     jobs([2.0, HORIZON, 12.0], [7.0, 12.0], [1.0, 0.5], [3.0])
     runs = run_all()
-    assert {m.completed_queries for m in runs} == {1}
+    assert {m.completed_queries for m, _ in runs} == {1}
 
 
 def test_warmup_at_an_event_epoch(jobs):
@@ -105,22 +108,48 @@ def test_a_class_with_no_departures(jobs):
     # no query arrives, and the one update is still in service at the horizon
     jobs([4.0, 11.0], [11.0], [20.0], [])
     runs = run_all()
-    assert {(m.completed_queries, m.completed_updates) for m in runs} == {(0, 0)}
-    assert {m.mean_nu for m in runs} == {0.6}
+    assert {(m.completed_queries, m.completed_updates) for m, _ in runs} == {(0, 0)}
+    assert {m.mean_nu for m, _ in runs} == {0.6}
 
 
-@pytest.mark.parametrize("generations, departures, error", [
-    # a generation after its departure at index 1, out of order at 2
-    ([1.0, 3.0, 0.5], [2.0, 2.5, 4.0], ValueError),
-    # out of order at index 1, a generation after its departure at 2
-    ([2.0, 1.0, 5.0], [3.0, 4.0, 4.5], OutOfOrderDeparture),
-    # both at index 1: the generation after its departure is named
-    ([2.0, 1.0], [3.0, 0.5], ValueError),
-])
-def test_the_first_offending_delivery_raises(generations, departures, error):
-    with pytest.raises(error) as raised:
-        age_metrics(generations, departures, 0.0, HORIZON)
-    with pytest.raises(error) as expected:
-        reference_age_metrics(generations, departures, 0.0, HORIZON)
-    assert type(raised.value) is type(expected.value)
-    assert str(raised.value) == str(expected.value)
+def test_two_update_hand_trace(jobs):
+    # updates generated at t=1 (done t=2) and t=1.5 (done t=4), run ends t=5
+    jobs([1.0, 1.5, 6.0], [6.0], [1.0, 2.0], [])
+    for metrics, detail in run_all(horizon=5.0):
+        # peaks: 2-0 (phantom previous arrival at 0) and (1.5-1)+(4-1.5)=3
+        assert detail.paoi_samples == [2.0, 3.0]
+        # age area: 2 over [0,2], 4 over [2,4] (age restarts at 1), 3 over [4,5]
+        assert metrics.mean_aoi == 9.0 / 5.0
+
+
+def test_zero_delay_service_resets_age_to_zero(jobs):
+    # an update generated at t=2 and served in no time; `run_replication`,
+    # since a job record refuses a zero service requirement
+    jobs([2.0, 4.0], [4.0], [0.0], [])
+    # the age t over [0, 2], then restarting at 0 at t = 2
+    for horizon, area in ((2.0, 2.0), (3.0, 2.0 + 0.5)):
+        for policy in POLICIES:
+            metrics = run_replication(PARAMS, policy, SimConfig(horizon, 0.0, 1, 1), 0)
+            assert metrics.mean_paoi == 2.0
+            assert metrics.mean_aoi == area / horizon
+
+
+def test_warmup_clips_integral_and_samples(jobs):
+    # an update generated at t=1 and delivered at t=2, the warmup's end
+    jobs([1.0, 11.0], [11.0], [1.0], [])
+    for metrics, detail in run_all(warmup=2.0):
+        # delivered at the warmup edge: excluded
+        assert detail.paoi_samples == []
+        # age over (2, 10] with last delivery from t=1: ((10-1)^2 - (2-1)^2)/2
+        assert metrics.mean_aoi == 40.0 / (HORIZON - 2.0)
+
+
+def test_age_integral_nondecreasing(jobs):
+    # updates generated at 0.5, 2 and 3, delivered at 1, 2.5 and 6; the run
+    # ends at each delivery in turn
+    departures = [1.0, 2.5, 6.0]
+    jobs([0.5, 2.0, 3.0, 7.0], [7.0], [0.5, 0.5, 3.0], [])
+    integrals = [[metrics.mean_aoi * horizon for metrics, _ in run_all(horizon=horizon)]
+                 for horizon in departures]
+    for shorter, longer in zip(integrals, integrals[1:]):
+        assert all(a <= b for a, b in zip(shorter, longer))

@@ -14,9 +14,7 @@ from freshsched.model import (
     validate_params,
 )
 from freshsched.simulator import (
-    OutOfOrderDeparture,
     SimConfig,
-    age_metrics,
     aggregate,
     draw_jobs,
     exponential_draws,
@@ -103,46 +101,6 @@ class TestSampleExponential:
         draws = exponential_draws(1.0, np.random.default_rng(0), n)
         assert len(draws) == n
         assert math.fsum(draws) / n == pytest.approx(1.0, abs=0.005)
-
-
-class TestAoiTracker:
-    """The age bookkeeping of `age_metrics`."""
-
-    def test_two_update_hand_trace(self):
-        # updates generated at t=1 (done t=2) and t=1.5 (done t=4), run ends t=5
-        integral, samples = age_metrics([1.0, 1.5], [2.0, 4.0], 0.0, 5.0)
-        # peaks: 2-0 (phantom previous arrival at 0) and (1.5-1)+(4-1.5)=3
-        assert samples == [2.0, 3.0]
-        # age area: 2 over [0,2], 4 over [2,4] (age restarts at 1), 3 over [4,5]
-        assert integral == pytest.approx(9.0, abs=1e-12)
-
-    def test_zero_delay_service_resets_age_to_zero(self):
-        assert age_metrics([2.0], [2.0], 0.0, 2.0)[0] == 2.0  # the age t over [0, 2]
-        # the age restarts at 0 at t = 2
-        assert age_metrics([2.0], [2.0], 0.0, 3.0)[0] == pytest.approx(2.0 + 0.5)
-
-    def test_out_of_order_departure_rejected(self):
-        with pytest.raises(OutOfOrderDeparture):
-            age_metrics([2.0, 1.0], [3.0, 4.0], 0.0, 5.0)
-
-    def test_generation_after_departure_rejected(self):
-        with pytest.raises(ValueError):
-            age_metrics([3.0], [2.0], 0.0, 5.0)
-
-    def test_warmup_clips_integral_and_samples(self):
-        # delivered at the warmup edge: excluded
-        integral, samples = age_metrics([1.0], [2.0], 2.0, 10.0)
-        assert samples == []
-        # age over (2, 10] with last delivery from t=1: ((10-1)^2 - (2-1)^2)/2
-        assert integral == pytest.approx(40.0)
-
-    def test_age_integral_nondecreasing(self):
-        generations, departures = [0.5, 2.0, 3.0], [1.0, 2.5, 6.0]
-        last = 0.0
-        for i in range(1, len(departures) + 1):
-            integral, _ = age_metrics(generations[:i], departures[:i], 0.0, departures[i - 1])
-            assert integral >= last
-            last = integral
 
 
 class TestSimConfig:
