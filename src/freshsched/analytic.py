@@ -10,7 +10,6 @@ from typing import Sequence
 
 from . import ctmc
 from .model import (ExactResult, Fcfs, JobClass, ModelParams, QueryK, Unstable, UpdateK,
-                    conservation_rhs,  # noqa: F401  (re-exported)
                     paoi_from_update_system_time, stability_guard)
 from .policy import policy_columns
 

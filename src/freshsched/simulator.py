@@ -28,10 +28,10 @@ sample and the age area since the last delivery, then starts the next job
 directly, since the departed head has no work to bank. Within a class
 service is FIFO preempt-resume, so each queue is a head index into its
 class's arrays, only the head can be part-served and updates are delivered
-in generation order; the loop copies the service requirements before
-writing remaining work. The Python loop reads the arrays as lists, since
-indexing an array in a Python loop makes a numpy scalar per read and is
-slower.
+in generation order; the remaining work is written into a copy of the
+service requirements. The Python loop reads the arrival epochs as lists and
+writes through memoryviews, since indexing a numpy array in a Python loop
+makes a numpy scalar per access and is slower.
 
 So every sum of a replication is taken in the one pass over the events: the
 n_q and n_u integrals clipped to (warmup, horizon], the busy time over
@@ -44,22 +44,24 @@ defining decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012). The
 age areas square as ``x * x``: ``x ** 2`` calls libm's pow, which is not
 correctly rounded on every input.
 
-Where a C compiler is found, the loop and the draws run in one C library.
-`_event_loop.c` transcribes `_python_loop`, which defines it, line for line,
-sums included: the same branches, comparisons and operations, and each term
-added in the same order. The library is built at the first replication with
-``cc -O2 -fPIC -shared -ffp-contract=off -std=c99 -lm`` into the per-user
-cache ``~/.cache/freshsched``, and loaded through ctypes. Its results equal
-the Python loop's to the bit, since each operation on doubles is rounded
-once in either language: the build allows no contraction into fused
-multiply-adds and no ``-ffast-math``, and the source refuses to build where
-doubles would be evaluated in extended precision. Where no compiler is
-found the Python loop runs; where the build or the load fails, it runs after
-one RuntimeWarning.
+The loop has one contract and two implementations. Both take the same
+arguments and write the same outputs, which `_python_loop`'s docstring
+gives, so `_simulate` allocates them once, calls whichever loop runs and
+reads one layout. Where a C compiler is found, the loop and the draws run in
+one C library: `_event_loop.c` transcribes `_python_loop`, which defines it,
+line for line, sums included: the same branches, comparisons and
+operations, and each term added in the same order. The library is built at
+the first replication with ``cc -O2 -fPIC -shared -ffp-contract=off
+-std=c99 -lm`` into the per-user cache ``~/.cache/freshsched``, and loaded
+through ctypes. Its results equal the Python loop's to the bit, since each
+operation on doubles is rounded once in either language: the build allows
+no contraction into fused multiply-adds and no ``-ffast-math``, and the
+source refuses to build where doubles would be evaluated in extended
+precision. Where no compiler is found the Python loop runs; where the build
+or the load fails, it runs after one RuntimeWarning.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import math
@@ -70,7 +72,6 @@ import statistics
 import subprocess
 import tempfile
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -202,33 +203,40 @@ def run_replication_detailed(params: ModelParams, policy, config: SimConfig,
     return _simulate(params, policy, config, rep_index, collect_jobs=True)
 
 
-def _python_loop(jobs, policy, warmup, horizon):
-    """The event loop in Python: the definition of `_event_loop.c`, and what
-    runs where that is not built.
+def _python_loop(table, cap_q, cap_u, arrive_u, arrive_q, remain_u, remain_q, depart_u,
+                 depart_q, warmup, horizon, state, sums, paoi):
+    """The event loop in Python: the definition of `_event_loop.c`, whose
+    ``freshsched_event_loop`` takes the same arguments and writes the same
+    outputs, and what runs where that is not built.
 
-    Returns the end of the run: the pending completion epoch, (n_q, n_u,
-    h_q, h_u, position), each class's departure epochs as an array whose
-    first h entries are written, and each class's remaining work. Then its
-    sums: the count and sum of the query system times and of the update
-    system times after the warmup, the n_q and n_u integrals clipped to
-    (warmup, horizon], the busy time, the age integral and one peak-age
-    sample per update that departed after the warmup. Each sum adds one
-    term per event, in the order of the events.
+    ``table`` is the array of `policy.decision_table`, with its caps. Each
+    class's arrival epochs run through the first one past the horizon;
+    ``remain_u`` and ``remain_q`` start as the service requirements and take
+    the remaining work of preempted heads, and ``depart_u`` and
+    ``depart_q`` take each departure's epoch at the departing head's index,
+    so their first h_u and h_q entries are written. ``state`` takes (n_q,
+    n_u, h_q, h_u, position, responses, updates), the last two the counts of
+    queries and of updates that departed after the warmup; ``sums`` the n_q
+    and n_u integrals clipped to (warmup, horizon], the busy time, the age
+    integral and the sums of the query and of the update system times after
+    the warmup; ``paoi`` one peak-age sample per update that departed after
+    the warmup. Each sum adds one term per event, in the order of the
+    events. Returns the pending completion epoch, or NaN where the table
+    leads to no position.
     """
-    # each class: arrival epochs (the last one past the horizon), remaining
-    # work (the service requirements, written on preemption) and departure
-    # epochs, written at the departing head's index; as lists, which a
-    # Python loop indexes faster than arrays
-    arrive_u, arrive_q, remain_u, remain_q = (stream.tolist() for stream in jobs)
-    depart_u, depart_q = array("d", [0.0]) * len(remain_u), array("d", [0.0]) * len(remain_q)
-    cap_q, cap_u, table = decision_table(policy)
+    # the arrival epochs as lists, and the arrays it writes as memoryviews,
+    # which a Python loop indexes faster than numpy arrays; the peak-age
+    # samples in a list, copied out at the end
+    arrive_u, arrive_q = arrive_u.tolist(), arrive_q.tolist()
+    remain_u, remain_q, depart_u, depart_q = map(memoryview,
+                                                 (remain_u, remain_q, depart_u, depart_q))
+    samples = []
     # each position's rules on an update arrival, on a query arrival and on
-    # the departure of the job it serves, read again when the position changes;
-    # `NO_POSITION` indexes past them
+    # the departure of the job it serves, read again when the position changes
     moves = [(rules[ARRIVE_U], rules[ARRIVE_Q], rules[DEPART_Q if z == Z_QUERY else DEPART_U])
              for z, rules in enumerate(table.tolist())]
     # the codes as locals, which the loop reads faster than globals
-    serve_q, serve_u, older_head, inf = Z_QUERY, Z_UPDATE, OLDER_HEAD, math.inf
+    idle, serve_q, serve_u, older_head, inf = Z_IDLE, Z_QUERY, Z_UPDATE, OLDER_HEAD, math.inf
 
     n_q = n_u = 0  # queue lengths
     h_q = h_u = 0  # index of each queue's head
@@ -240,7 +248,6 @@ def _python_loop(jobs, policy, warmup, horizon):
     last = g = delivered = 0.0
     nq_integral = nu_integral = busy = age = response_sum = update_sum = 0.0
     responses = 0  # departed after the warmup, as the peak-age samples
-    paoi = []
 
     while True:
         i = n_q if n_q < cap_q else cap_q
@@ -271,7 +278,7 @@ def _python_loop(jobs, policy, warmup, horizon):
                 depart_u[h_u] = t
                 if t > warmup:
                     update_sum += t - generation
-                    paoi.append((generation - g) + (t - generation))
+                    samples.append((generation - g) + (t - generation))
                 # the age t - g over (delivered, t] clipped to (warmup, horizon];
                 # squares as x * x, since x ** 2 calls libm's pow
                 a = delivered if delivered > warmup else warmup
@@ -293,6 +300,8 @@ def _python_loop(jobs, policy, warmup, horizon):
             else:
                 completion = inf
             if new != pos:
+                if new < idle or new > serve_u:
+                    return math.nan
                 pos = new
                 on_u, on_q, on_done = moves[pos]
             continue
@@ -325,6 +334,8 @@ def _python_loop(jobs, policy, warmup, horizon):
             n_q += 1
             next_q = arrive_q[h_q + n_q]
         if new != pos:  # preempt-resume: bank the head's remaining work
+            if new < idle or new > serve_u:
+                return math.nan
             if pos == serve_q:
                 remain_q[h_q] = completion - t
             elif pos == serve_u:
@@ -350,10 +361,10 @@ def _python_loop(jobs, policy, warmup, horizon):
         a -= g
         b = horizon - g
         age += (b * b - a * a) / 2.0
-    return ((completion, (n_q, n_u, h_q, h_u, pos), np.frombuffer(depart_u),
-             np.frombuffer(depart_q), remain_u, remain_q),
-            (responses, response_sum, len(paoi), update_sum, nq_integral, nu_integral, busy,
-             age, paoi))
+    paoi[:len(samples)] = samples
+    state[:] = n_q, n_u, h_q, h_u, pos, responses, len(samples)
+    sums[:] = nq_integral, nu_integral, busy, age, response_sum, update_sum
+    return completion
 
 
 # False runs `_python_loop`, and draws with `math.log`, where the C library
@@ -375,8 +386,11 @@ def _compiled_loop():
     The library's name is a hash of the source, the flags and the machine,
     so a changed source is built anew. A build writes into a temporary
     directory and publishes the library with `os.replace`, so a process
-    never loads a half-written file, and then removes the libraries of other
-    sources or flags. A process that has one of those loaded keeps it.
+    never loads a half-written file. The libraries of other sources stay, so
+    two trees of different sources under one home load their own and build
+    neither again: the cache holds one library of about 15 KB per (source,
+    flags, machine) that was ever built, which only a change to this file,
+    `_event_loop.c` or the machine adds to.
     """
     compiler = shutil.which(_COMPILER)
     if compiler is None:
@@ -395,10 +409,6 @@ def _compiled_loop():
                 subprocess.run([compiler, str(_SOURCE), "-o", built, *_CFLAGS],
                                check=True, capture_output=True, text=True, timeout=120)
                 os.replace(built, path)
-            for stale in path.parent.glob("event_loop-*.so"):
-                if stale != path:
-                    with contextlib.suppress(OSError):
-                        stale.unlink()
         library = ctypes.CDLL(str(path))
     except (OSError, subprocess.SubprocessError) as error:
         # the compiler's first line of complaint, else what failed
@@ -423,28 +433,6 @@ def _compiled_loop():
     return library
 
 
-def _run_compiled(library, jobs, policy, warmup, horizon):
-    """`_python_loop`'s end and sums, with the remaining work in arrays,
-    from the C library."""
-    at_u, at_q, work_u, work_q = jobs
-    remain_u, remain_q = work_u.copy(), work_q.copy()
-    depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
-    paoi = np.empty_like(remain_u)
-    state = np.empty(7, np.int64)
-    sums = np.empty(6)
-    cap_q, cap_u, table = decision_table(policy)
-    completion = library.freshsched_event_loop(
-        table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
-        warmup, horizon, state, sums, paoi)
-    if math.isnan(completion):
-        raise RuntimeError(f"the decision table of {policy} led to no server position")
-    *end, responses, updates = map(int, state)
-    nq_integral, nu_integral, busy_time, age_integral, response_sum, update_sum = sums.tolist()
-    return ((completion, tuple(end), depart_u, depart_q, remain_u, remain_q),
-            (responses, response_sum, updates, update_sum, nq_integral, nu_integral,
-             busy_time, age_integral, paoi[:updates].tolist()))
-
-
 def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
@@ -458,11 +446,18 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
             raise ValueError("jobs need an arrival past the horizon and a service "
                              "requirement for each arrival before it")
     library = _compiled_loop() if COMPILED_LOOP else None
-    end, sums = (_python_loop(jobs, policy, warmup, horizon) if library is None
-                 else _run_compiled(library, jobs, policy, warmup, horizon))
-    completion, (n_q, n_u, h_q, h_u, pos), depart_u, depart_q, remain_u, remain_q = end
-    (resp_n, resp_sum, completed_updates, usys_sum, nq_integral, nu_integral, busy_time,
-     age_integral, paoi_samples) = sums
+    loop = _python_loop if library is None else library.freshsched_event_loop
+    cap_q, cap_u, table = decision_table(policy)
+    remain_u, remain_q = work_u.copy(), work_q.copy()
+    depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
+    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(6)
+    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+                      warmup, horizon, state, sums, paoi)
+    if math.isnan(completion):
+        raise RuntimeError(f"the decision table of {policy} led to no server position")
+    n_q, n_u, h_q, h_u, pos, resp_n, completed_updates = state.tolist()
+    nq_integral, nu_integral, busy_time, age_integral, resp_sum, usys_sum = sums.tolist()
+    paoi_samples = paoi[:completed_updates].tolist()
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(

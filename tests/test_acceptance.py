@@ -13,7 +13,6 @@ import pytest
 
 from freshsched import cli
 from freshsched.analytic import (
-    conservation_rhs,
     fcfs_metrics,
     query1_metrics,
     query_k_metrics,
@@ -27,6 +26,7 @@ from freshsched.model import (
     QueryK,
     ReplicationMetrics,
     UpdateK,
+    conservation_rhs,
     validate_params,
 )
 from freshsched.simulator import (

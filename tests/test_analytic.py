@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from freshsched import ctmc
 from freshsched.analytic import (
-    conservation_rhs,
     fcfs_metrics,
     paoi_from_update_system_time,
     priority_system_time,
@@ -15,7 +14,8 @@ from freshsched.analytic import (
     update1_metrics,
     update_k_metrics,
 )
-from freshsched.model import UNBOUNDED, JobClass, JointMN, Unstable, validate_params
+from freshsched.model import (UNBOUNDED, JobClass, JointMN, Unstable, conservation_rhs,
+                              validate_params)
 from freshsched.simulator import SimConfig, aggregate, run_replication
 
 

@@ -17,8 +17,9 @@ from freshsched.ctmc import (
     expected_queue_lengths,
     solve_stationary,
 )
-from freshsched.analytic import conservation_rhs, query1_metrics
-from freshsched.model import UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK, validate_params
+from freshsched.analytic import query1_metrics
+from freshsched.model import (UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK, conservation_rhs,
+                              validate_params)
 from freshsched.policy import decision_table
 
 

@@ -1,6 +1,7 @@
 """The C library (`_event_loop.c`) against the Python it replaces: its event
-loop and sums against `_python_loop`, which defines them, its draws against
-`math.log`; and how it is built, cached and given up.
+loop against `_python_loop`, which defines it, on the same arguments and on
+every output, its draws against `math.log`; and how it is built, cached and
+given up.
 
 The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
@@ -58,17 +59,40 @@ def fresh_loader(monkeypatch, tmp_path):
     simulator._compiled_loop.cache_clear()
 
 
+def loop_outputs(loop, jobs, policy, config):
+    """What ``loop`` returns and writes, called as `simulator._simulate`
+    calls it: the pending completion, the state, the sums, the peak-age
+    samples and departures it wrote, and the whole remaining work."""
+    at_u, at_q, work_u, work_q = jobs
+    cap_q, cap_u, table = decision_table(policy)
+    remain_u, remain_q = work_u.copy(), work_q.copy()
+    depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
+    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(6)
+    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+                      config.warmup, config.horizon, state, sums, paoi)
+    n_q, n_u, h_q, h_u, pos, responses, updates = state.tolist()
+    return (completion, state.tolist(), sums.tolist(), paoi[:updates].tolist(),
+            depart_u[:h_u].tolist(), depart_q[:h_q].tolist(), remain_u.tolist(),
+            remain_q.tolist())
+
+
 @needs_compiler
 @pytest.mark.parametrize("rates", LOADS, ids=postpasses.load_id)
 @pytest.mark.parametrize("policy", POLICIES, ids=str)
 def test_the_c_loop_is_the_python_loop(monkeypatch, policy, rates):
     lambda_u, lambda_q, mu_u, mu_q = rates
     params = validate_params(lambda_u, mu_u, lambda_q, mu_q)
-    assert simulator._compiled_loop() is not None
+    library = simulator._compiled_loop()
+    assert library is not None
     for config in (CONFIG, WARM):
         for rep in range(config.replications):
             compiled = run_on(monkeypatch, True, params, policy, config, rep)
             assert run_replication(params, policy, config, rep) == compiled[0]
+            # the one contract: on the same arguments, the same return and
+            # every output, also those `_simulate` does not read
+            jobs = simulator.draw_jobs(params, config, rep)
+            assert (loop_outputs(library.freshsched_event_loop, jobs, policy, config)
+                    == loop_outputs(simulator._python_loop, jobs, policy, config))
             assert run_on(monkeypatch, False, params, policy, config, rep) == compiled
 
 
@@ -108,18 +132,16 @@ def test_jobs_short_of_the_horizon_are_refused_before_either_loop(
                         SimConfig(postpasses.HORIZON, 0.0, 1, 1), 0)
 
 
-@pytest.mark.parametrize("compiled, error", [
-    (False, pytest.raises(IndexError)),
-    pytest.param(True, pytest.raises(RuntimeError, match="no server position"),
-                 marks=needs_compiler)], ids=["python", "c"])
-def test_a_table_that_leads_to_no_position_stops_either_loop(monkeypatch, compiled, error):
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
+                         ids=["python", "c"])
+def test_a_table_that_leads_to_no_position_stops_either_loop(monkeypatch, compiled):
     # every move of this table is a trigger that cannot fire: a loop that
     # read it as a position would run on with a wrong server
     table = decision_table(Fcfs())
     monkeypatch.setattr(simulator, "decision_table", lambda policy: table._replace(
         next_position=np.full_like(table.next_position, NO_POSITION)))
     monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
-    with error:
+    with pytest.raises(RuntimeError, match="no server position"):
         run_replication(validate_params(0.5, 1, 0.3, 1), Fcfs(), SimConfig(50.0, 0.0, 1, 1), 0)
 
 
@@ -210,15 +232,18 @@ def test_a_fresh_loader_reuses_the_cached_library(monkeypatch, fresh_loader):
 
 
 @needs_compiler
-def test_a_build_removes_the_libraries_of_other_sources(fresh_loader):
+def test_a_build_keeps_the_libraries_of_other_sources(fresh_loader):
+    # another tree's library under the same home: removing it would have
+    # that tree build it again at its next run
     fresh_loader.mkdir(mode=0o700, parents=True)
-    stale = fresh_loader / "event_loop-0000000000000000.so"
-    stale.write_bytes(b"a library of an older source")
+    other = fresh_loader / "event_loop-0000000000000000.so"
+    other.write_bytes(b"a library of another source")
     kept = fresh_loader / "notes.txt"
     kept.write_text("not a library")
     run_replication(PARAMS, QueryK(2), SHORT, 0)
-    [library] = fresh_loader.glob("event_loop-*.so")
-    assert library != stale
+    [library] = set(fresh_loader.glob("event_loop-*.so")) - {other}
+    assert library.stat().st_size > 0
+    assert other.read_bytes() == b"a library of another source"
     assert kept.read_text() == "not a library"
 
 
