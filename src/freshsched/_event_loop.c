@@ -5,9 +5,11 @@
    one pass over the events. The loop only adds, subtracts, multiplies,
    divides and compares doubles, so with contraction off (-ffp-contract=off)
    and no -ffast-math every value it writes is the Python loop's, to the
-   bit. The second function is the draw -log(u)/rate with libm's log, which
-   math.log calls too. `simulator` builds this file on first use and calls
-   it through ctypes. Backquotes mark Python names. */
+   bit. The one sum the Python loop takes with math.fsum, that of the
+   peak-age samples, is CPython's fsum transcribed below: a correctly rounded
+   sum, which has one value. The last function is the draw -log(u)/rate with
+   libm's log, which math.log calls too. `simulator` builds this file on first
+   use and calls it through ctypes. Backquotes mark Python names. */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
@@ -23,7 +25,7 @@ enum { IDLE = 0, SERVE_Q = 1, SERVE_U = 2, OLDER_HEAD = -1 };
 enum { ARRIVE_U = 0, ARRIVE_Q = 1, DEPART_U = 2, DEPART_Q = 3 };
 
 /* the sums that sum[] holds, in this order */
-enum { NQ, NU, BUSY, AGE, RESPONSE, UPDATE_SYSTEM, SUMS };
+enum { NQ, NU, BUSY, AGE, RESPONSE, UPDATE_SYSTEM, PAOI, SUMS };
 
 /* Adds the interval (*last, t] to the n_q and n_u integrals, clipped to
    (warmup, t], and to the busy time, and moves *last to t; as `_python_loop`
@@ -53,6 +55,90 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
     return (b * b - a * a) / 2.0;
 }
 
+/* room for every partial: see freshsched_fsum */
+#define PARTIALS 2100
+
+/* The sum of terms[0..n), correctly rounded: CPython 3.11's math_fsum
+   (Modules/mathmodule.c) transcribed, on an array of doubles instead of an
+   iterable. It is Shewchuk's exact summation (Discrete Comput. Geom. 18,
+   1997): each term is added into partials that are kept non-overlapping and
+   increasing in magnitude, their sum is then taken exactly from the top
+   until it becomes inexact, and a half-even fix-up rounds across the
+   partials below. The partials are non-overlapping, so each holds a bit
+   position, between 2^-1074 and 2^1023, that no other holds: there are at
+   most 2098 of them, and PARTIALS doubles on the stack take the place of
+   CPython's growing array. Inf and NaN terms are summed apart, as CPython
+   sums them; where it raises, on an intermediate overflow or on
+   inf + -inf, this returns NaN. */
+double freshsched_fsum(const double *terms, int64_t n)
+{
+    double p[PARTIALS];
+    double x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0;
+    int64_t i, j, m = 0; /* m partials in p[] */
+
+    for (int64_t k = 0; k < n; k++) { /* for x in terms */
+        x = terms[k];
+        xsave = x;
+        for (i = j = 0; j < m; j++) { /* for y in partials */
+            y = p[j];
+            if (fabs(x) < fabs(y)) {
+                t = x;
+                x = y;
+                y = t;
+            }
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                p[i++] = lo;
+            x = hi;
+        }
+        m = i; /* p[i:] = [x] */
+        if (x != 0.0) {
+            if (!isfinite(x)) {
+                /* from an intermediate overflow, or from an inf or a NaN
+                   among the terms */
+                if (isfinite(xsave))
+                    return NAN;
+                special_sum += xsave;
+                m = 0; /* reset partials */
+            } else if (m >= PARTIALS) {
+                return NAN; /* more than the bound above allows */
+            } else {
+                p[m++] = x;
+            }
+        }
+    }
+    if (special_sum != 0.0)
+        return special_sum; /* NaN for inf + -inf */
+
+    hi = 0.0;
+    if (m > 0) {
+        hi = p[--m];
+        /* sum_exact(p, hi) from the top, stop when the sum becomes inexact */
+        while (m > 0) {
+            x = hi;
+            y = p[--m];
+            hi = x + y;
+            yr = hi - x;
+            lo = y - yr;
+            if (lo != 0.0)
+                break;
+        }
+        /* Make half-even rounding work across multiple partials: [1e-16, 1,
+           1e16] rounds the last digit up to 2 instead of down to 0, since
+           the 1e-16 makes the 1 slightly closer to 2. */
+        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0) || (lo > 0.0 && p[m - 1] > 0.0))) {
+            y = lo * 2.0;
+            x = hi + y;
+            yr = x - hi;
+            if (y == yr)
+                hi = x;
+        }
+    }
+    return hi;
+}
+
 /* moves[] is the array of `policy.decision_table`: each position's rules on
    its 4 triggers, each a (cap_q + 1) x (cap_u + 1) table of positions that
    holds `NO_POSITION`, a code past SERVE_U, where the trigger cannot fire.
@@ -60,9 +146,10 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
    and remain_q start as the service requirements and take the remaining
    work of preempted heads. Returns the pending completion epoch; writes n_q,
    n_u, h_q, h_u, the position and the counts of queries and of updates that
-   departed after the warmup into state[], the sums into sum[], and one
-   peak-age sample per update that departed after the warmup into paoi[].
-   Returns NaN if the table leads to no position. */
+   departed after the warmup into state[], one peak-age sample per update
+   that departed after the warmup into paoi[], and the sums into sum[], the
+   last of them the samples' sum by freshsched_fsum. Returns NaN if the
+   table leads to no position. */
 double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
                              const double *arrive_u, const double *arrive_q,
                              double *remain_u, double *remain_q,
@@ -171,6 +258,7 @@ double freshsched_event_loop(const int8_t *moves, int64_t cap_q, int64_t cap_u,
     /* from the last event, and from the last delivery, to the horizon */
     occupy(horizon, n_q, n_u, warmup, &last, sum);
     sum[AGE] += age_area(g, delivered, horizon, warmup, horizon);
+    sum[PAOI] = freshsched_fsum(paoi, updates);
     state[0] = n_q;
     state[1] = n_u;
     state[2] = h_q;

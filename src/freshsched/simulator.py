@@ -36,8 +36,9 @@ makes a numpy scalar per access and is slower.
 So every sum of a replication is taken in the one pass over the events: the
 n_q and n_u integrals clipped to (warmup, horizon], the busy time over
 (0, horizon], the age integral, and each class's count and sum of system
-times after the warmup; the peak-age samples are kept, and their mean is
-``statistics.fmean``, an exact sum. The age starts at 0 at t = 0, as if an
+times after the warmup; the peak-age samples are kept and summed as
+``math.fsum`` sums them, correctly rounded, so their mean, that sum over
+their count, is ``statistics.fmean``'s. The age starts at 0 at t = 0, as if an
 update generated then were delivered, so the first peak spans from time 0;
 each peak is (inter-arrival) + (system time) from the raw timestamps, the
 defining decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012). The
@@ -50,7 +51,8 @@ gives, so `_simulate` allocates them once, calls whichever loop runs and
 reads one layout. Where a C compiler is found, the loop and the draws run in
 one C library: `_event_loop.c` transcribes `_python_loop`, which defines it,
 line for line, sums included: the same branches, comparisons and
-operations, and each term added in the same order. The library is built at
+operations, each term added in the same order, and CPython's ``math.fsum``
+for the peak-age sum. The library is built at
 the first replication with ``cc -O2 -fPIC -shared -ffp-contract=off
 -std=c99 -lm`` into the per-user cache ``~/.cache/freshsched``, and loaded
 through ctypes. Its results equal the Python loop's to the bit, since each
@@ -216,13 +218,14 @@ def _python_loop(table, cap_q, cap_u, arrive_u, arrive_q, remain_u, remain_q, de
     ``depart_q`` take each departure's epoch at the departing head's index,
     so their first h_u and h_q entries are written. ``state`` takes (n_q,
     n_u, h_q, h_u, position, responses, updates), the last two the counts of
-    queries and of updates that departed after the warmup; ``sums`` the n_q
-    and n_u integrals clipped to (warmup, horizon], the busy time, the age
-    integral and the sums of the query and of the update system times after
-    the warmup; ``paoi`` one peak-age sample per update that departed after
-    the warmup. Each sum adds one term per event, in the order of the
-    events. Returns the pending completion epoch, or NaN where the table
-    leads to no position.
+    queries and of updates that departed after the warmup; ``paoi`` one
+    peak-age sample per update that departed after the warmup; ``sums``
+    its 7 entries: the n_q and n_u integrals clipped to (warmup, horizon],
+    the busy time, the age integral, the sums of the query and of the
+    update system times after the warmup, each of these six adding one term
+    per event in the order of the events, and last the ``math.fsum`` of the
+    peak-age samples. Returns the pending completion epoch, or NaN where
+    the table leads to no position.
     """
     # the arrival epochs as lists, and the arrays it writes as memoryviews,
     # which a Python loop indexes faster than numpy arrays; the peak-age
@@ -363,7 +366,7 @@ def _python_loop(table, cap_q, cap_u, arrive_u, arrive_q, remain_u, remain_q, de
         age += (b * b - a * a) / 2.0
     paoi[:len(samples)] = samples
     state[:] = n_q, n_u, h_q, h_u, pos, responses, len(samples)
-    sums[:] = nq_integral, nu_integral, busy, age, response_sum, update_sum
+    sums[:] = nq_integral, nu_integral, busy, age, response_sum, update_sum, math.fsum(samples)
     return completion
 
 
@@ -378,8 +381,8 @@ _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off", "-std=c99", "-lm")
 
 @lru_cache(maxsize=None)
 def _compiled_loop():
-    """The C library of `_event_loop.c`, with the event loop and the draw
-    kernel, built on first use into the per-user cache
+    """The C library of `_event_loop.c`, with the event loop, its exact sum
+    and the draw kernel, built on first use into the per-user cache
     ``~/.cache/freshsched`` and loaded; None where no compiler is found, or,
     after one warning, where the build or the load fails.
 
@@ -427,6 +430,9 @@ def _compiled_loop():
                      np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS,WRITEABLE"),
                      written, written)
     loop.restype = ctypes.c_double
+    fsum = library.freshsched_fsum
+    fsum.argtypes = (doubles, ctypes.c_int64)
+    fsum.restype = ctypes.c_double
     draw = library.freshsched_exponential
     draw.argtypes = (doubles, ctypes.c_int64, ctypes.c_double, written)
     draw.restype = None
@@ -450,19 +456,18 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     cap_q, cap_u, table = decision_table(policy)
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
-    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(6)
+    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(7)
     completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
                       warmup, horizon, state, sums, paoi)
     if math.isnan(completion):
         raise RuntimeError(f"the decision table of {policy} led to no server position")
     n_q, n_u, h_q, h_u, pos, resp_n, completed_updates = state.tolist()
-    nq_integral, nu_integral, busy_time, age_integral, resp_sum, usys_sum = sums.tolist()
-    paoi_samples = paoi[:completed_updates].tolist()
+    nq_integral, nu_integral, busy_time, age_integral, resp_sum, usys_sum, paoi_sum = sums.tolist()
 
     duration = horizon - warmup
     metrics = ReplicationMetrics(
         mean_response_time=resp_sum / resp_n if resp_n else None,
-        mean_paoi=statistics.fmean(paoi_samples) if paoi_samples else None,
+        mean_paoi=paoi_sum / completed_updates if completed_updates else None,
         mean_aoi=age_integral / duration,
         mean_nq=nq_integral / duration,
         mean_nu=nu_integral / duration,
@@ -474,7 +479,7 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
-    # plain floats in the records
+    # plain floats in the records and the samples
     arrive_u, arrive_q, work_u, work_q = (stream.tolist() for stream in jobs)
     jobs = ([JobRecord(JobClass.QUERY, *job)
              for job in zip(arrive_q, work_q, depart_q[:h_q].tolist())]
@@ -488,7 +493,7 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
         for index in range(head, head + n):
             in_service = pos == served and index == head
             residual_work += (completion - horizon) if in_service else float(remain[index])
-    detail = ReplicationDetail(jobs, paoi_samples, busy_time, arrived_service,
+    detail = ReplicationDetail(jobs, paoi[:completed_updates].tolist(), busy_time, arrived_service,
                                completed_service, residual_work)
     return metrics, detail
 

@@ -1,17 +1,19 @@
 """The C library (`_event_loop.c`) against the Python it replaces: its event
 loop against `_python_loop`, which defines it, on the same arguments and on
-every output, its draws against `math.log`; and how it is built, cached and
-given up.
+every output, its exact sum against `math.fsum`, its draws against
+`math.log`; and how it is built, cached and given up.
 
 The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
 """
 import ctypes
 import functools
+import math
 import os
 import re
 import shutil
 import stat
+import statistics
 import subprocess
 import warnings
 from types import SimpleNamespace
@@ -38,6 +40,8 @@ LOADS = [(0.3, 0.3, 1, 1), (0.45, 0.45, 1, 1), (0.85, 0.1, 1, 1), (0.1, 0.85, 1,
 CONFIG = SimConfig(1500.0, 0.0, 4, 7)
 # the C loop clips its integrals and its samples at the warmup
 WARM = SimConfig(1500.0, 300.0, 4, 7)
+# the entries of the loops' ``sums``, as `simulator._simulate` allocates them
+SUMS = 7
 
 
 def run_on(monkeypatch, compiled, *args):
@@ -67,7 +71,7 @@ def loop_outputs(loop, jobs, policy, config):
     cap_q, cap_u, table = decision_table(policy)
     remain_u, remain_q = work_u.copy(), work_q.copy()
     depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
-    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(6)
+    paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(SUMS)
     completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
                       config.warmup, config.horizon, state, sums, paoi)
     n_q, n_u, h_q, h_u, pos, responses, updates = state.tolist()
@@ -94,6 +98,37 @@ def test_the_c_loop_is_the_python_loop(monkeypatch, policy, rates):
             assert (loop_outputs(library.freshsched_event_loop, jobs, policy, config)
                     == loop_outputs(simulator._python_loop, jobs, policy, config))
             assert run_on(monkeypatch, False, params, policy, config, rep) == compiled
+
+
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
+                         ids=["python", "c"])
+@pytest.mark.parametrize("policy", POLICIES, ids=str)
+def test_the_mean_peak_age_is_the_fmean_of_the_samples(monkeypatch, policy, compiled):
+    # the loops sum the samples themselves; the mean must stay the one of
+    # the samples that `run_replication_detailed` reports, to the bit
+    if compiled:
+        assert simulator._compiled_loop() is not None
+    for lambda_u, lambda_q, mu_u, mu_q in LOADS:
+        params = validate_params(lambda_u, mu_u, lambda_q, mu_q)
+        for config in (CONFIG, WARM):
+            for rep in range(config.replications):
+                metrics, detail = run_on(monkeypatch, compiled, params, policy, config, rep)
+                assert metrics.mean_paoi == statistics.fmean(detail.paoi_samples)
+
+
+@pytest.mark.parametrize("compiled", [False, pytest.param(True, marks=needs_compiler)],
+                         ids=["python", "c"])
+def test_no_update_after_the_warmup_has_no_mean_peak_age(monkeypatch, jobs, compiled):  # noqa: F811
+    # the one update departs at t = 2, before the warmup
+    jobs([1.0, 11.0], [11.0], [1.0], [])
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
+    if compiled:
+        assert simulator._compiled_loop() is not None
+    for warmup, mean_paoi in ((0.0, 2.0), (5.0, None)):
+        metrics, detail = run_replication_detailed(PARAMS, Fcfs(),
+                                                   SimConfig(postpasses.HORIZON, warmup, 1, 1), 0)
+        assert metrics.mean_paoi == mean_paoi
+        assert detail.paoi_samples == ([] if mean_paoi is None else [mean_paoi])
 
 
 # each equals the scalar oracle of `reference_simulator` or values worked out
@@ -176,6 +211,23 @@ PARAMS = validate_params(0.5, 1, 0.3, 1)
 SHORT = SimConfig(500.0, 0.0, 2, 3)
 
 
+def test_the_c_loop_writes_as_many_sums_as_simulate_allocates(monkeypatch):
+    # needs no compiler: the C loop writes one double per member of its sums
+    # enum, so an enum longer than the array `_simulate` allocates would
+    # write past its end, where no test sees it
+    [members] = re.findall(r"^enum \{ ([\w, ]+), SUMS \};$", simulator._SOURCE.read_text(),
+                           re.MULTILINE)
+    allocated, loop = [], simulator._python_loop
+
+    def python_loop(*args):
+        allocated.append(len(args[12]))  # sums
+        return loop(*args)
+    monkeypatch.setattr(simulator, "COMPILED_LOOP", False)
+    monkeypatch.setattr(simulator, "_python_loop", python_loop)
+    run_replication(PARAMS, QueryK(2), SHORT, 0)
+    assert allocated == [len(members.split(", "))] == [SUMS]
+
+
 def python_runs(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(simulator, "COMPILED_LOOP", False)
@@ -256,9 +308,9 @@ def test_the_source_compiles_without_warnings(tmp_path):
                             "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     assert built.stderr == ""
-    # `simulator` calls both by name: a renamed one fails here, not at a draw
+    # `simulator` calls them by name: a renamed one fails here, not at a draw
     loaded = ctypes.CDLL(os.fspath(library))
-    for name in ("freshsched_event_loop", "freshsched_exponential"):
+    for name in ("freshsched_event_loop", "freshsched_fsum", "freshsched_exponential"):
         assert hasattr(loaded, name), name
 
 
@@ -275,3 +327,57 @@ def test_the_c_draw_is_the_python_draw_to_the_bit(monkeypatch, rate):
         monkeypatch.setattr(simulator, "COMPILED_LOOP", compiled)
         draws[compiled] = simulator.exponential_draws(rate, stream, len(u))
     assert np.array_equal(draws[True].view(np.int64), draws[False].view(np.int64))
+
+
+def c_fsum(terms):
+    library = simulator._compiled_loop()
+    assert library is not None
+    return library.freshsched_fsum(np.array(terms, float), len(terms))
+
+
+# each tells an exact sum from a near miss: [1e-16, 1, 1e16] from one without
+# the half-even fix-up, [0.1] * 10 from a naive sum
+FSUM_CASES = [[1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100], [0.1] * 10,
+              [5e-324, 5e-324, -1e-310, 2.2250738585072009e-308, 1e-320], [], [1.0],
+              [1.0, 2.0 ** -53, 2.0 ** -53]]
+
+
+@needs_compiler
+@pytest.mark.parametrize("terms", FSUM_CASES, ids=repr)
+def test_the_c_sum_is_math_fsum_on_hand_picked_terms(terms):
+    assert c_fsum(terms) == math.fsum(terms)
+
+
+def random_terms(kind, rng, n):
+    signs = rng.choice([-1.0, 1.0], n)
+    if kind == "exponential":
+        return rng.exponential(size=n)
+    if kind == "e-700-to-e700":  # most need more than 64 partials
+        return signs * np.exp(rng.uniform(-700.0, 700.0, n))
+    if kind == "cancelling":
+        return signs * rng.choice([1.0, 1e16, 1e-16, 2.0 ** -53, 1.0 + 2.0 ** -52], n)
+    if kind == "scaled-integers":
+        return np.ldexp(rng.integers(-2 ** 53, 2 ** 53, n).astype(float), rng.integers(-1000, 900))
+    assert kind == "powers-of-two"
+    return signs * np.ldexp(1.0, rng.integers(-1074, 1000, n))
+
+
+@needs_compiler
+@pytest.mark.parametrize("seed, kind", enumerate(["exponential", "e-700-to-e700", "cancelling",
+                                                   "scaled-integers", "powers-of-two"]))
+def test_the_c_sum_is_math_fsum_on_seeded_terms(seed, kind):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        terms = random_terms(kind, rng, rng.integers(1, 500)).tolist()
+        assert c_fsum(terms) == math.fsum(terms), terms
+
+
+@needs_compiler
+def test_the_c_sum_is_nan_where_math_fsum_raises():
+    assert c_fsum([math.inf, 1.0]) == math.fsum([math.inf, 1.0]) == math.inf
+    assert math.isnan(c_fsum([1.0, math.nan]))
+    for terms, error in (([math.inf, -math.inf], ValueError),
+                         ([1e308, 1e308, -1e308], OverflowError)):  # an intermediate overflow
+        with pytest.raises(error):
+            math.fsum(terms)
+        assert math.isnan(c_fsum(terms))
