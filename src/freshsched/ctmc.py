@@ -11,29 +11,46 @@ swapped first, so a queue whose threshold alone is finite, the short one, is
 always the phase. From the decision table's cap `cap_u` on, the transitions
 do not depend on the level, so pi_{l+1} = pi_l R for l >= cap_u (Neuts,
 Matrix-Geometric Solutions, 1981). R comes from G by logarithmic reduction
-(Latouche & Ramaswami, J. Appl. Prob. 30, 1993), and levels 0..cap_u are one
-sparse solve. The reduction runs on the live phases alone, those that some
-move of the repeating levels enters: a dead phase's column is 0 in the up
-and down blocks a0 and a2, and in the local block a1 off the diagonal. This
-is exact. G, whose paths end with a move down, is 0 on a dead column, so
-U = a1 + a0 G is 0 on the (live, dead) entries and (-U)^-1 is block
-triangular. R = a0 (-U)^-1 is then 0 on the dead columns, and its live
-columns come from the live blocks alone. R keeps a row for every phase,
-since level cap_u holds mass on each. Query-k never serves an update with k
-queries waiting, so c + k of its 2c + 1 phases are live. The phase
-truncation c starts on the first rung of max(16, 2 cap_q) 2^j at which
-(1 + eta) eta^(c - t) is below TAIL_TOLERANCE, for the phase class's finite
-threshold t and eta = lambda / mu of that class: from t on that class is
-always served, so its law is geometric with ratio eta from N = t - 1 on,
-and the band is that bound times pi(N = t - 1). With t infinite c starts
-on the first rung. c then doubles until the mass on its band is below
+(Latouche & Ramaswami, J. Appl. Prob. 30, 1993). The reduction runs on the
+live phases alone, those that some move of the repeating levels enters: a
+dead phase's column is 0 in the up and down blocks a0 and a2, and in the
+local block a1 off the diagonal. This is exact. G, whose paths end with a
+move down, is 0 on a dead column, so U = a1 + a0 G is 0 on the (live, dead)
+entries and (-U)^-1 is block triangular. R = a0 (-U)^-1 is then 0 on the
+dead columns, and its live columns come from the live blocks alone. R keeps
+a row for every phase, since level cap_u holds mass on each. Query-k never
+serves an update with k queries waiting, so c + k of its 2c + 1 phases are
+live.
+
+The boundary, levels 0..cap_u, is block tridiagonal by level, with local
+blocks L_l and blocks U_l up and D_l down. It is solved by linear level
+reduction (Latouche & Ramaswami, Introduction to Matrix-Analytic Methods in
+Stochastic Modeling, SIAM 1999, on level-dependent QBDs): the levels above
+fold into level top = cap_u as S_top = L_top + R a2, and each level into the
+one below as R_{l-1} = U_{l-1} (-S_l)^-1 and S_{l-1} = L_{l-1} + R_{l-1} D_l.
+Level 0 is solved with the empty state's weight fixed at 1, and
+pi_l = pi_{l-1} R_{l-1} fills the levels back up. Each level keeps only the
+states that some move enters, since no other state holds mass: c + k for
+Query-k. The logarithmic reduction takes explicit inverses, because each of
+its inverses multiplies two blocks, and numpy's inverse and two matmuls beat
+one solve with both blocks as right-hand sides (38 against 62 us at 33
+phases, 5.4 against 8.6 ms at 257, one core). A matrix that meets one block,
+as (-S_l) does U_{l-1}, is solved. So `solve` needs numpy alone.
+
+The phase truncation c starts on the first rung of max(16, 2 cap_q) 2^j at
+which (1 + eta) eta^(c - t) is below TAIL_TOLERANCE, for the phase class's
+finite threshold t and eta = lambda / mu of that class: from t on that class
+is always served, so its law is geometric with ratio eta from N = t - 1 on,
+and the band is that bound times pi(N = t - 1). With t infinite c starts on
+the first rung. c then doubles until the mass on its band is below
 TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE, and stops with
 NoConvergence once the band is below its tolerance but a doubling no longer
 halves the gap.
 
 `build_ctmc` and `solve_stationary` solve the chain truncated on both sides
 instead, with arrivals that would cross the truncation dropped. They are the
-reference the tests check `solve` against.
+reference the tests check `solve` against, and the only users of scipy here,
+which they import when called.
 """
 from __future__ import annotations
 
@@ -43,11 +60,6 @@ from functools import cached_property
 from typing import Dict, List, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
-# after scipy.sparse: imported first, scipy.linalg adds about 17 ms to start-up
-import scipy.linalg as la
 
 from .model import (UNBOUNDED, ExactResult, Fcfs, JointMN, ModelParams, conservation_rhs,
                     paoi_from_update_system_time, stability_guard)
@@ -60,9 +72,11 @@ RESIDUAL_TOLERANCE = 1e-10
 GAP_TOLERANCE = 1e-9
 # The caps keep one solve under about 1.6 GB. The reference chain's sparse
 # solve peaks at 10 KB per state on a square truncation and at 25 KB on a long
-# thin one; the QBD's generator and boundary solve at 1-2 KB per state. The
-# QBD's dense phase blocks peak at about 110 bytes per entry (455 MB at 2049
-# phases a level).
+# thin one. The QBD peaks at about 116 bytes per (phase, phase) entry of a
+# level, with one BLAS thread: 486 MB over the interpreter for Joint-(13, 510)
+# at c = 1024 (2049 phases, 16 boundary levels of 1534 live states, whose
+# R_l dominate), 295 MB for Query-1 there. At the caps' largest level,
+# Joint-(13, 897) at c = 1798 (3597 phases, 62948 states), that is 1.5 GB.
 MAX_STATES = 2 ** 16
 MAX_PHASES = 3600
 # logarithmic reduction covers 2^k levels in k steps
@@ -173,7 +187,8 @@ class CtmcSolution:
         return 0.0 if idx is None else float(self.probabilities[idx])
 
 
-def _check_recurrent(qt: sp.csr_matrix, target: int) -> None:
+def _check_recurrent(qt: "scipy.sparse.csr_matrix", target: int) -> None:
+    import scipy.sparse.csgraph as csgraph
     # every state must be able to reach the empty state, otherwise the
     # truncated chain has a transient piece the solve cannot normalize over;
     # qt has an entry (t, s) for each transition s -> t, so a search from the
@@ -186,6 +201,8 @@ def _check_recurrent(qt: sp.csr_matrix, target: int) -> None:
 
 def solve_stationary(rates: CtmcRates) -> CtmcSolution:
     """Solve pi Q = 0 with sum(pi) = 1 by sparse direct factorization."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     n = len(rates.states)
     edges = np.array(rates.transitions, dtype=float).reshape(-1, 3)
     src = edges[:, 0].astype(np.int64)
@@ -244,11 +261,12 @@ def _level_start(level, c: int):
     return np.where(level == 0, 0, c + 1 + (level - 1) * (2 * c + 1))
 
 
-def _generator(params: ModelParams, table, c: int,
-               levels: int) -> Tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """Generator of levels 0..levels-1 with n_q truncated at c, and the n_q
-    and level of every state. An update arrival from the top level leaves the
-    matrix but still counts in the diagonal."""
+def _generator(params: ModelParams, table, c: int, levels: int) -> Tuple[np.ndarray, ...]:
+    """Generator of levels 0..levels-1 with n_q truncated at c, as (source,
+    target, rate) triplets ordered by source, and the n_q and level of every
+    state. A state's diagonal entry comes first, and no two triplets share a
+    (source, target) pair. An update arrival from the top level leaves the
+    triplets but still counts in the diagonal."""
     phase_i = np.r_[1:c + 1, 0:c + 1]
     phase_z = np.r_[np.full(c, Z_QUERY), np.full(c + 1, Z_UPDATE)]
     i = np.r_[0:c + 1, np.tile(phase_i, levels - 1)]
@@ -256,27 +274,37 @@ def _generator(params: ModelParams, table, c: int,
     j = np.r_[np.zeros(c + 1, dtype=np.int64), np.repeat(np.arange(1, levels), 2 * c + 1)]
     ci, cj = np.minimum(i, table.cap_q), np.minimum(j, table.cap_u)
     n = len(i)
-    src, dst, rate = [np.arange(n)], [np.arange(n)], []
+    # a row per state: the diagonal, then one column per event
+    src = np.repeat(np.arange(n), 5).reshape(n, 5)
+    dst, rate, keep = src.copy(), np.zeros((n, 5)), np.ones((n, 5), dtype=bool)
     out = np.zeros(n)
-    for event, r, di, dj, fires in ((ARRIVE_Q, params.lambda_q, 1, 0, True),
-                                    (ARRIVE_U, params.lambda_u, 0, 1, True),
-                                    (DEPART_Q, params.mu_q, -1, 0, z == Z_QUERY),
-                                    (DEPART_U, params.mu_u, 0, -1, z == Z_UPDATE)):
+    for column, (event, r, di, dj, fires) in enumerate((
+            (ARRIVE_Q, params.lambda_q, 1, 0, True),
+            (ARRIVE_U, params.lambda_u, 0, 1, True),
+            (DEPART_Q, params.mu_q, -1, 0, z == Z_QUERY),
+            (DEPART_U, params.mu_u, 0, -1, z == Z_UPDATE)), start=1):
         # a query arrival at n_q = c is lost but still moves the server as
         # `decide` says; dropping it would trap the server at the updates
         # once both thresholds are reached, with no level to leave them by
         ti, tj, tz = np.minimum(i + di, c), j + dj, table.next_position[z, event, ci, cj]
         moves = fires & ((ti != i) | (tj != j) | (tz != z))
         out += r * moves
-        s = np.flatnonzero(moves & (tj < levels))
-        src.append(s)
-        dst.append(_level_start(tj[s], c)
-                   + np.where(tz[s] == Z_UPDATE, c + ti[s], ti[s] - (tj[s] > 0)))
-        rate.append(np.full(len(s), r))
-    rate.insert(0, -out)
-    q = sp.csr_matrix((np.concatenate(rate), (np.concatenate(src), np.concatenate(dst))),
-                      shape=(n, n))
-    return q, i, j
+        keep[:, column] = moves & (tj < levels)
+        dst[:, column] = _level_start(tj, c) + np.where(tz == Z_UPDATE, c + ti, ti - (tj > 0))
+        rate[:, column] = r
+    rate[:, 0] = -out
+    return src[keep], dst[keep], rate[keep], i, j
+
+
+def _blocks(shapes, target: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            rates: np.ndarray) -> List[np.ndarray]:
+    """Dense blocks of the given shapes, the k-th holding the moves whose
+    target is k, at (rows, cols)."""
+    blocks = [np.zeros(shape) for shape in shapes]
+    for k, block in enumerate(blocks):
+        pick = target == k
+        block[rows[pick], cols[pick]] = rates[pick]
+    return blocks
 
 
 def _check_drift(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> None:
@@ -298,19 +326,19 @@ def _rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray,
     ``entering`` holds the up moves into these phases, with a row for every
     phase of a level: a0 itself, or a0's live columns when the blocks are
     cut to the live phases."""
-    local = la.lu_factor(-a1)
-    up, down = la.lu_solve(local, a0), la.lu_solve(local, a2)
-    g, path = down.copy(), up.copy()
+    local = np.linalg.inv(-a1)
+    up, down = local @ a0, local @ a2
+    g, path = down, up
     for _ in range(MAX_REDUCTIONS):
-        mix = la.lu_factor(np.eye(len(g)) - up @ down - down @ up)
-        up, down = np.hsplit(la.lu_solve(mix, np.hstack((up @ up, down @ down))), 2)
+        mix = np.linalg.inv(np.eye(len(g)) - up @ down - down @ up)
+        up, down = mix @ (up @ up), mix @ (down @ down)
         grown = g + path @ down
         path = path @ up
         # near rho = 1 round-off keeps 1 - G1 above 1e-13 until G stops moving
         done = np.max(np.abs(1.0 - grown.sum(axis=1))) < 1e-13 or np.array_equal(grown, g)
         g = grown
         if done:
-            return la.solve(-(a1 + a0 @ g).T, entering.T).T
+            return np.linalg.solve(-(a1 + a0 @ g).T, entering.T).T
     raise NoConvergence(f"G not converged after {MAX_REDUCTIONS} reductions")
 
 
@@ -327,35 +355,74 @@ def _live_rate_matrix(a0: np.ndarray, a1: np.ndarray, a2: np.ndarray) -> np.ndar
 
 
 def _solve_qbd(params: ModelParams, table, c: int):
-    """(E[N_q], E[N_u], band mass, balance residual, boundary unknowns) of the
+    """(E[N_q], E[N_u], band mass, balance residual, boundary states) of the
     QBD with n_q truncated at c."""
     top, p = table.cap_u, 2 * c + 1
-    q, i, j = _generator(params, table, c, top + 3)
-    # levels top, top + 1 and top + 2 start at s0, s1 and s2; every level
-    # from top on has the transitions of level top + 1
-    s0, s1, s2 = (_level_start(level, c) for level in (top, top + 1, top + 2))
-    a0, a1, a2 = (q[s1:s2, start:start + p].toarray() for start in (s2, s1, s0))
+    src, dst, rate, i, j = _generator(params, table, c, top + 3)
+    start = _level_start(np.arange(top + 4), c)
+    s0, s1, s2 = start[top:top + 3]
+    # every level from top on has the moves of level top + 1: a2 down, a1
+    # within the level and a0 up
+    first, last = np.searchsorted(src, (s1, s2))
+    s, t = src[first:last], dst[first:last]
+    a2, a1, a0 = _blocks([(p, p)] * 3, j[t] - top, s - s1, t - start[j[t]],
+                         rate[first:last])
     _check_drift(a0, a1, a2)
     r = _live_rate_matrix(a0, a1, a2)
+    # the boundary keeps the states that some move enters, numbered within
+    # their level; the moves out of any other state are dropped with it
+    live = np.zeros(len(i), dtype=bool)
+    live[dst[src != dst]] = True
+    # level top + 1 feeds level top by pi_top R a2; the full blocks go before
+    # the boundary's R_l pile up
+    phases = np.flatnonzero(live[s0:s1])
+    feed = r[phases] @ a2[:, phases]
+    del a0, a1, a2
+    before = np.r_[0, np.cumsum(live)]
+    count, index = np.diff(before[start]), before[1:] - 1 - before[start[j]]
+    bounds = np.searchsorted(src, start[:top + 2])
 
-    # the boundary is levels 0..top, and level top + 1 feeds level top by
-    # pi_top R a2; the empty state's weight is fixed at 1 and its equation
-    # dropped, which leaves the balance sparse
-    feed = sp.coo_matrix(r @ a2)
-    balance = (q[:s1, :s1] + sp.csr_matrix(
-        (feed.data, (feed.row + s0, feed.col + s0)), shape=(s1, s1))).T.tocsc()
-    pi = np.r_[1.0, spla.spsolve(balance[1:, 1:], -balance[1:, 0].toarray().ravel())]
+    def level_blocks(level):
+        # the blocks D_level, L_level and U_level on the live states
+        s, t, rates = (x[bounds[level]:bounds[level + 1]] for x in (src, dst, rate))
+        keep = live[s]
+        s, t, rates = s[keep], t[keep], rates[keep]
+        n = count[level]
+        return _blocks([(n, count[level - 1] if level else 0), (n, n), (n, count[level + 1])],
+                       j[t] - level + 1, index[s], index[t], rates)
+
+    # linear level reduction: each level folds into the one below, and only
+    # the R_l are kept
+    down, local, _ = level_blocks(top)
+    folded = local + feed
+    reduced = []
+    for level in range(top, 0, -1):
+        below, local, up = level_blocks(level - 1)
+        reduced.append(np.linalg.solve(-folded.T, up.T).T)
+        folded, down = local + reduced[-1] @ down, below
+    # the empty state, first in level 0, has weight 1 and its equation goes
+    weights = [np.r_[1.0, np.linalg.solve(folded[1:, 1:].T, -folded[0, 1:])]]
+    for step in reversed(reduced):
+        weights.append(weights[-1] @ step)
+    pi = np.zeros(s1)
+    pi[live[:s1]] = np.concatenate(weights)
     pi = np.clip(pi, 0.0, None)  # round-off
     # levels >= top hold tail = pi_top (I - R)^-1 per phase, and
-    # sum_l (l - top) pi_l = pi_top R (I - R)^-2 = tail R (I - R)^-1
-    left = la.lu_factor((np.eye(p) - r).T)
-    tail = np.clip(la.lu_solve(left, pi[s0:]), 0.0, None)
+    # sum_l (l - top) pi_l = pi_top R (I - R)^-2 = tail R (I - R)^-1; R is 0
+    # off its live columns, so (I - R)^-1 is taken on them alone
+    on = np.flatnonzero(live[s1:s2])
+    entering = r[:, on]
+    left = (np.eye(len(on)) - r[np.ix_(on, on)]).T
+    tail = pi[s0:].copy()
+    tail[on] += np.linalg.solve(left, pi[s0:] @ entering)
+    tail = np.clip(tail, 0.0, None)
     scale = pi[:s0].sum() + tail.sum()
     pi, tail = pi / scale, tail / scale
-    beyond = la.lu_solve(left, tail @ r)
+    beyond = np.linalg.solve(left, tail @ entering)
 
     upper = np.r_[pi, pi[s0:] @ r, pi[s0:] @ r @ r]
-    residual = float(np.max(np.abs((q.T @ upper)[:s2])))
+    flow = np.bincount(dst, weights=upper[src] * rate, minlength=len(upper))
+    residual = float(np.max(np.abs(flow[:s2])))
     if not residual <= RESIDUAL_TOLERANCE:
         raise NoConvergence(f"balance residual {residual:g} above {RESIDUAL_TOLERANCE:g}")
     low, phase_i = pi[:s0], i[s0:s1]
@@ -387,15 +454,19 @@ def solve(params: ModelParams, policy) -> ExactResult:
     The level's queue length comes from the conservation law, and
     ``conservation_gap`` is its distance from the chain's direct moment.
     ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
-    class swap. ``n_states`` counts the unknowns of the boundary solve, and
-    ``rounds`` the truncations solved. For Query-k and Update-k the bound
-    holds, so the first round meets the band tolerance and only the
-    conservation gap can ask for another. Joint-(m, n)'s phase class also
-    waits behind updates, so its tail is heavier, and the predicted rung is
-    only a start. R is reduced on the live phases of a level, those that
-    some move enters: c + k of the 2c + 1 for Query-k and Update-k. Query-1
-    at (0.09, 0.9), rho = 0.99, solves one round at c = 256 with 257 of 513
-    phases live, in 0.20-0.27 s on one core of an AVX-512 Xeon.
+    class swap. ``n_states`` counts the states of the boundary, levels
+    0..cap_u, and ``rounds`` the truncations solved. For Query-k and
+    Update-k the bound holds, so the first round meets the band tolerance
+    and only the conservation gap can ask for another. Joint-(m, n)'s phase
+    class also waits behind updates, so its tail is heavier, and the
+    predicted rung is only a start. R and the boundary's linear level
+    reduction both run on the live states of a level, those that some move
+    enters: c + k of the 2c + 1 for Query-k and Update-k. The level
+    reduction takes one dense solve per boundary level. On one core of an
+    AVX-512 Xeon, with the decision table built, Joint-(100, 100) at
+    (0.3, 0.3) solves one round at c = 204, 102 solves of 304 live states,
+    in 0.93 s, and Query-1 at (0.09, 0.9), rho = 0.99, one round at c = 256
+    with 257 of 513 phases live in 0.16-0.17 s.
     Little's law at the given rates turns the swapped-back lengths into times.
     """
     _reject_fcfs(policy)

@@ -230,11 +230,15 @@ class TestQbdSolve:
         p = validate_params(0.2, 1, 0.7, 1)
         table = decision_table(JointMN(5, 8))
         c, level = 20, table.cap_u + 1
-        q, _i, _j = ctmc._generator(p, table, c, level + 2)
+        src, dst, rate, _i, _j = ctmc._generator(p, table, c, level + 2)
         start = int(ctmc._level_start(level, c))
         serving_updates, serving_queries = start + 2 * c, start + c - 1  # n_q = c
-        assert q[serving_updates, serving_queries] == p.lambda_q
-        assert q[serving_updates, serving_updates] == -(p.lambda_q + p.lambda_u + p.mu_u)
+
+        def entry(source, target):
+            return rate[(src == source) & (dst == target)].tolist()
+
+        assert entry(serving_updates, serving_queries) == [p.lambda_q]
+        assert entry(serving_updates, serving_updates) == [-(p.lambda_q + p.lambda_u + p.mu_u)]
 
     def test_upward_drift_rejected(self):
         # one phase: up at rate 2, down at rate 1
