@@ -37,15 +37,28 @@ one solve with both blocks as right-hand sides (38 against 62 us at 33
 phases, 5.4 against 8.6 ms at 257, one core). A matrix that meets one block,
 as (-S_l) does U_{l-1}, is solved. So `solve` needs numpy alone.
 
-The phase truncation c starts on the first rung of max(16, 2 cap_q) 2^j at
+The rung of the phase truncation is the first c of max(16, 2 cap_q) 2^j at
 which (1 + eta) eta^(c - t) is below TAIL_TOLERANCE, for the phase class's
 finite threshold t and eta = lambda / mu of that class: from t on that class
 is always served, so its law is geometric with ratio eta from N = t - 1 on,
-and the band is that bound times pi(N = t - 1). With t infinite c starts on
-the first rung. c then doubles until the mass on its band is below
-TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE, and stops with
-NoConvergence once the band is below its tolerance but a doubling no longer
-halves the gap.
+and the band is that bound times pi(N = t - 1). With t infinite (Query-inf,
+Update-inf) the band has no bound and the rung is the first, 16. Those
+chains and Joint-(m, n) start on the rung. Query-k and Update-k of finite
+k start lower, at the first c from 2 cap_q on at which the bound times
+pi_hat is below both TAIL_TOLERANCE and GAP_TOLERANCE (1 - rho)
+rho_level / 3, or on the rung if that comes first. pi_hat bounds
+pi(N >= t - 1): rho^(t - 1) at equal service rates, where the total count
+of a work-conserving preempt-resume system is that of M/M/1,
+P(N >= i) = rho^i, and the phase count lies below it; 1 otherwise. The
+second term is the gap's share: the band's loss reaches the conservation gap
+amplified about as 1 / (1 - rho), as the queue lengths are, and the gap is
+relative to E[N_level] >= rho_level, the share of time a level job is in
+service. The relative gap ran 6-10 times the band at rho = 2/3 and about 250
+times at rho = 0.99 (Query-1 at (0.09, 0.9)), within the 27 and 3333 that
+3 / ((1 - rho) rho_level) allows. c then doubles until the mass on its band
+is below TAIL_TOLERANCE and the conservation gap below GAP_TOLERANCE, and
+stops with NoConvergence once the band is below its tolerance but a doubling
+no longer halves the gap.
 
 `build_ctmc` and `solve_stationary` solve the chain truncated on both sides
 instead, with arrivals that would cross the truncation dropped. They are the
@@ -448,25 +461,29 @@ def _check_size(c: int, top: int) -> None:
 
 def solve(params: ModelParams, policy) -> ExactResult:
     """A thresholded policy's steady state by one QBD solve for each phase
-    truncation, doubled from the rung that the phase class's geometric tail
-    predicts (the module docstring), and never started past the caps.
+    truncation, doubled from the start that the phase class's geometric tail
+    predicts (the module docstring): for Query-k and Update-k of finite k
+    the first c whose band bound also meets the gap's share, never past the
+    rung, and otherwise the rung. The rung is never past the caps.
 
     The level's queue length comes from the conservation law, and
     ``conservation_gap`` is its distance from the chain's direct moment.
     ``truncation`` is (c, inf) with n_q as the phase, or (inf, c) after the
     class swap. ``n_states`` counts the states of the boundary, levels
     0..cap_u, and ``rounds`` the truncations solved. For Query-k and
-    Update-k the bound holds, so the first round meets the band tolerance
-    and only the conservation gap can ask for another. Joint-(m, n)'s phase
-    class also waits behind updates, so its tail is heavier, and the
-    predicted rung is only a start. R and the boundary's linear level
-    reduction both run on the live states of a level, those that some move
-    enters: c + k of the 2c + 1 for Query-k and Update-k. The level
-    reduction takes one dense solve per boundary level. On one core of an
-    AVX-512 Xeon, with the decision table built, Joint-(100, 100) at
-    (0.3, 0.3) solves one round at c = 204, 102 solves of 304 live states,
-    in 0.93 s, and Query-1 at (0.09, 0.9), rho = 0.99, one round at c = 256
-    with 257 of 513 phases live in 0.16-0.17 s.
+    Update-k of finite k the bound holds, so the first round meets the band
+    tolerance. It met the gap's too on every one of 864 chains measured
+    (rho 0.3-0.99, k 1-12, mu_u / mu_q 0.5-2) that did not start on the
+    rung, and a start on the rung can double (Query-2 at (0.475, 0.475)
+    solves 32, then 64). Joint-(m, n)'s phase class also waits behind
+    updates, so its tail is heavier, and the predicted rung is only a start.
+    R and the boundary's linear level reduction both run on the live states
+    of a level, those that some move enters: c + k of the 2c + 1 for Query-k
+    and Update-k. The level reduction takes one dense solve per boundary
+    level. On one core of an AVX-512 Xeon, with the decision table built,
+    Joint-(100, 100) at (0.3, 0.3) solves one round at c = 204, 102 solves
+    of 304 live states, in 0.93 s, and Query-1 at (0.09, 0.9), rho = 0.99,
+    one round at c = 256 with 257 of 513 phases live in 0.16-0.17 s.
     Little's law at the given rates turns the swapped-back lengths into times.
     """
     _reject_fcfs(policy)
@@ -478,13 +495,24 @@ def solve(params: ModelParams, policy) -> ExactResult:
              if swap else params)
     table = decision_table(JointMN(n, m) if swap else policy)
     rhs = conservation_rhs(rates)
-    c, previous_gap, rounds = max(16, 2 * table.cap_q), np.inf, 0
+    rung, previous_gap, rounds = max(16, 2 * table.cap_q), np.inf, 0
     # the first rung whose bound (1 + eta) eta^(c - t) on the band is below
     # the tolerance, but none past the caps
     t, eta = (m if swap else n), rates.lambda_q / rates.mu_q
-    while (t != UNBOUNDED and (1 + eta) * eta ** (c - t) >= TAIL_TOLERANCE
-           and _fits(2 * c, table.cap_u)):
-        c *= 2
+    while (t != UNBOUNDED and (1 + eta) * eta ** (rung - t) >= TAIL_TOLERANCE
+           and _fits(2 * rung, table.cap_u)):
+        rung *= 2
+    c = rung
+    if t != UNBOUNDED and UNBOUNDED in (m, n):
+        # Query-k and Update-k of finite k: the first c from 2 cap_q on whose
+        # band bound, times pi_hat >= pi(N >= t - 1), is below the band
+        # tolerance and the gap's share (the module docstring), and never
+        # past the rung
+        mass = rates.rho ** (t - 1) if rates.mu_u == rates.mu_q else 1.0
+        bound = min(TAIL_TOLERANCE, GAP_TOLERANCE * (1 - rates.rho) * rates.rho_u / 3)
+        c = 2 * table.cap_q
+        while c < rung and (1 + eta) * eta ** (c - t) * mass >= bound:
+            c += 1
     while True:
         _check_size(c, table.cap_u)
         nq, direct, band, residual, n_states = _solve_qbd(rates, table, c)

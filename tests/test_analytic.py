@@ -183,10 +183,11 @@ class TestThresholdChainMetrics:
             exact.expected_response_time, rel=1e-9)
         assert chain.expected_paoi == pytest.approx(exact.expected_paoi, rel=1e-9)
         assert chain.tail_mass < 1e-8
-        # the query side stays at its start of max(16, 2 * 3) jobs, and the
+        # the query side stays at its start of 12 jobs, the first c whose band
+        # bound 1.1 * 0.1^(c - 1) is below 1e-9 (1 - 0.95) 0.85 / 3, and the
         # boundary is the levels n_u = 0..2 of the decision table
-        assert chain.truncation == (16, UNBOUNDED)
-        assert chain.n_states == 17 + 2 * 33
+        assert chain.truncation == (12, UNBOUNDED)
+        assert chain.n_states == 13 + 2 * 25
 
     def test_growth_past_state_cap_raises(self, monkeypatch):
         # (0.09, 0.9) starts the query side at 256 jobs, at 32 under a cap of 65

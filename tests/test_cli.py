@@ -522,7 +522,9 @@ class TestCliCommands:
                          "--lambda-u", "0.5", "--lambda-q", "0.1"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "truncation = 16 x inf (83 boundary states)" in out
+        # c = 12, the first whose band bound 1.1 * 0.1^(c - 1) is below
+        # 1e-9 (1 - 0.6) 0.5 / 3; the boundary holds 13 + 2 * 25 states
+        assert "truncation = 12 x inf (63 boundary states)" in out
 
     def test_solve_prints_its_rounds_after_the_truncation(self, capsys):
         # Joint-(3, 3) at (1/3, 1/3) starts at c = 32 and doubles once

@@ -350,6 +350,21 @@ class TestPredictedTruncation:
         deep = marginal[t:] - eta * marginal[t - 1:-1]
         assert np.max(np.abs(deep)) < 1e-14
 
+    @pytest.mark.parametrize("policy, params, column", [
+        (QueryK(3), validate_params(1 / 3, 1, 1 / 3, 1), 0),
+        (QueryK(5), validate_params(0.45, 2, 0.8, 2), 0),
+        (UpdateK(4), validate_params(0.2, 0.5, 0.1, 0.5), 1)], ids=repr)
+    def test_the_phase_queue_lies_below_the_total_count(self, policy, params, column):
+        # at equal service rates the total count of a work-conserving
+        # preempt-resume system is that of M/M/1, P(N >= i) = rho^i, and the
+        # phase count lies below it: the premise of pi(N >= t - 1) <=
+        # rho^(t - 1) in the start that `solve` predicts
+        marginal = phase_marginal(policy, params, column)
+        at_least = np.cumsum(marginal[::-1])[::-1]
+        levels = np.arange(len(marginal))
+        assert np.all(at_least <= params.rho ** levels + 1e-15)
+        assert at_least[policy.k - 1] > 0.1 * params.rho ** (policy.k - 1)
+
     def test_a_joint_phase_queue_decays_slower_than_its_rate_ratio(self):
         # under Joint-(m, n) the queries also wait behind updates, so their
         # tail is heavier than eta's and the predicted rung is only a start
@@ -361,12 +376,12 @@ class TestPredictedTruncation:
     @pytest.mark.parametrize("k", range(1, 13))
     @pytest.mark.parametrize("kind", [QueryK, UpdateK])
     def test_one_round_on_the_predicted_rung(self, monkeypatch, kind, k):
-        # the first rung max(16, 2 (k + 2)) 2^j whose bound (1 + eta) eta^(c - k)
-        # is below 1e-8; the doubling from 16 ended on the same c for k <= 10
-        # and on half of it, 2 (k + 2), for k = 11 and 12
+        # the first c whose bound (4/3) 3^-(c - k) (2/3)^(k - 1) is below
+        # 1e-9 (1/3) (1/3) / 3, below the rung max(16, 2 (k + 2)) 2^j of 32
+        # for k <= 6 and 4 (k + 2) above
         rounds = spied_truncations(monkeypatch)
         result = ctmc.solve(validate_params(1 / 3, 1, 1 / 3, 1), kind(k))
-        assert rounds == [32 if k <= 6 else 4 * (k + 2)]
+        assert rounds == [[24, 24, 25, 26, 26, 27, 27, 28, 29, 29, 30, 31][k - 1]]
         assert result.rounds == 1
 
     @pytest.mark.parametrize("policy, rates", [
@@ -388,7 +403,7 @@ class TestPredictedTruncation:
     @pytest.mark.parametrize("policy", [QueryK(11), QueryK(12), UpdateK(11), UpdateK(12)],
                              ids=repr)
     def test_a_start_past_the_doubling_matches_the_truncated_chain(self, policy):
-        # these start at c = 52 and 56, where the doubling ended at 26 and 28
+        # these start at c = 30 and 31, below their rungs of 52 and 56
         p = validate_params(1 / 3, 1, 1 / 3, 1)
         reference = solve_stationary(build_ctmc(CtmcSpec(p, policy, 65, 65)))
         assert reference.tail_mass < 1e-12
@@ -396,6 +411,66 @@ class TestPredictedTruncation:
         qbd = ctmc.solve(p, policy)
         assert qbd.expected_nq == pytest.approx(nq, rel=1e-7)
         assert qbd.expected_nu == pytest.approx(nu, rel=1e-7)
+
+    @pytest.mark.parametrize("mu_u", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("share", [0.1, 0.5])
+    @pytest.mark.parametrize("rho", [0.6, 0.95, 0.99])
+    @pytest.mark.parametrize("kind", [QueryK, UpdateK])
+    def test_the_start_never_costs_a_round(self, monkeypatch, kind, rho, share, mu_u):
+        # the phase class carries `share` of the load rho, and mu_q = 1
+        phase = share * rho
+        level = rho - phase
+        params = (validate_params(level * mu_u, mu_u, phase, 1) if kind is QueryK
+                  else validate_params(phase * mu_u, mu_u, level, 1))
+        k, eta = 3, phase
+        # the oracle: the first rung max(16, 2 (k + 2)) 2^j whose bound
+        # (1 + eta) eta^(c - k) is below the band tolerance
+        rung = 16
+        while (1 + eta) * eta ** (rung - k) >= ctmc.TAIL_TOLERANCE:
+            rung *= 2
+        inner, calls = ctmc._solve_qbd, []
+
+        def counted(rates, table, c):
+            calls.append((rates, table, c))
+            return inner(rates, table, c)
+
+        monkeypatch.setattr(ctmc, "_solve_qbd", counted)
+        result = ctmc.solve(params, kind(k))
+        assert calls[0][2] <= rung
+        moment = result.expected_nu if kind is QueryK else result.expected_nq
+        assert result.tail_mass < ctmc.TAIL_TOLERANCE
+        assert result.conservation_gap < ctmc.GAP_TOLERANCE * moment
+        if len(calls) == 1:
+            return  # one round at or below the rung can lose nothing
+        # the doubling from the rung, with the tolerances and the stall stop
+        # of `solve`, and at most four rounds
+        rates, table, c = calls[0][0], calls[0][1], rung
+        rhs, previous_gap = conservation_rhs(rates), np.inf
+        for rounds in range(1, 5):
+            nq, direct, band, _, _ = inner(rates, table, c)
+            nu = rates.mu_u * (rhs - nq / rates.mu_q)
+            gap = abs(direct - nu)
+            if band < ctmc.TAIL_TOLERANCE and gap < ctmc.GAP_TOLERANCE * nu:
+                break
+            assert not (band < ctmc.TAIL_TOLERANCE and gap >= previous_gap / 2), \
+                f"the doubling from the rung stalls at c = {c}"
+            c, previous_gap = 2 * c, gap
+        else:
+            pytest.fail("the doubling from the rung needs more than four rounds")
+        assert result.rounds <= rounds
+        assert calls[-1][2] <= c
+
+    @pytest.mark.parametrize("kind", [QueryK, UpdateK])
+    @pytest.mark.parametrize("params, rounds", [
+        ((1 / 3, 1, 1 / 3, 1), [16, 32, 64]), ((0.5, 2, 1 / 3, 1), [16, 32])], ids=repr)
+    def test_an_unbounded_threshold_starts_on_the_first_rung(self, monkeypatch, kind,
+                                                             params, rounds):
+        # with t infinite the band has no bound, so the start is max(16, 2 * 2)
+        # and the doubling alone finds c, at equal and at unequal service rates
+        spied = spied_truncations(monkeypatch)
+        result = ctmc.solve(validate_params(*params), kind(UNBOUNDED))
+        assert spied == rounds
+        assert result.rounds == len(rounds)
 
     @pytest.mark.parametrize("cap, value, message", [
         ("MAX_PHASES", 2 * 32 + 1, "129 phases"), ("MAX_STATES", 300, "581 states")])
