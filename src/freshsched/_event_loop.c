@@ -6,13 +6,18 @@
    divides and compares doubles, so with contraction off (-ffp-contract=off)
    and no -ffast-math every value it writes is the Python loop's, to the
    bit. The one sum the Python loop takes with math.fsum, that of the
-   peak-age samples, is CPython's fsum transcribed below: a correctly rounded
-   sum, which has one value. The last function is the draw -log(u)/rate with
-   libm's log, which math.log calls too. `simulator` builds this file on first
-   use and calls it through ctypes. Backquotes mark Python names. */
+   peak-age samples, is correctly rounded, so it has one value, and
+   freshsched_fsum below takes that value: in integer bins where every term
+   is finite with the sign bit clear, as every peak-age sample is, and else
+   by CPython's fsum transcribed, whose order of operations alone gives its
+   results on mixed signs and on overflow. The last function is the draw
+   -log(u)/rate with libm's log, which math.log calls too. `simulator` builds
+   this file on first use and calls it through ctypes. Backquotes mark Python
+   names. */
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* x87 arithmetic would round to 80 bits between operations */
 #if !defined(FLT_EVAL_METHOD) || FLT_EVAL_METHOD != 0
@@ -55,7 +60,7 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
     return (b * b - a * a) / 2.0;
 }
 
-/* room for every partial: see freshsched_fsum */
+/* room for every partial: see fsum_partials */
 #define PARTIALS 2100
 
 /* The sum of terms[0..n), correctly rounded: CPython 3.11's math_fsum
@@ -70,7 +75,7 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
    CPython's growing array. Inf and NaN terms are summed apart, as CPython
    sums them; where it raises, on an intermediate overflow or on
    inf + -inf, this returns NaN. */
-double freshsched_fsum(const double *terms, int64_t n)
+static double fsum_partials(const double *terms, int64_t n)
 {
     double p[PARTIALS];
     double x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0;
@@ -137,6 +142,94 @@ double freshsched_fsum(const double *terms, int64_t n)
         }
     }
     return hi;
+}
+
+/* one bin per biased exponent; 32-bit limbs from 2^-1074 up, past the
+   top bit a bin's two words can reach, 2^(2045 + 128), with two to spare */
+#define BINS 2048
+#define LIMBS 70
+#define LOW32 UINT64_C(0xffffffff)
+
+/* Adds v * 2^s into the limbs, s counted in bits from 2^-1074. */
+static void add_at(uint64_t *limb, uint64_t v, int s)
+{
+    int i = s / 32, r = s % 32;
+    limb[i] += (v << r) & LOW32;
+    limb[i + 1] += (v >> (32 - r)) & LOW32;
+    if (r > 0)
+        limb[i + 2] += v >> (64 - r);
+}
+
+/* The sum of terms[0..n), correctly rounded: `math.fsum`'s value. A peak-age
+   sample is never negative, and on terms that are all finite with the sign
+   bit clear the sum is taken in integers, a superaccumulator (Neal, "Fast
+   exact summation using small and large superaccumulators",
+   arXiv:1505.05571, 2015): each term's 53-bit integer mantissa is added
+   into the bin of its biased exponent, a low word and a word that counts
+   its carries; the bins are then folded into 32-bit limbs, whose integer is
+   the exact sum in units of 2^-1074, and that is rounded once, half-even. A
+   correctly rounded sum has one value, so this is CPython's. Any other term
+   (a negative one, -0.0, an inf or a NaN), or a sum that rounds past
+   DBL_MAX, runs fsum_partials on all the terms: only its order of
+   operations gives CPython's results on mixed signs, on an intermediate
+   overflow (NaN here, where CPython raises) and at the DBL_MAX boundary. */
+double freshsched_fsum(const double *terms, int64_t n)
+{
+    uint64_t bin[BINS][2] = {{0}}, limb[LIMBS] = {0}, bits, mant, half, sticky;
+    int e, i, top, p, shift, r;
+    double sum;
+
+    for (int64_t k = 0; k < n; k++) {
+        memcpy(&bits, &terms[k], sizeof bits);
+        if (bits >= UINT64_C(0x7ff0000000000000)) /* the sign bit, an inf or a NaN */
+            return fsum_partials(terms, n);
+        e = (int)(bits >> 52);
+        mant = bits & ((UINT64_C(1) << 52) - 1);
+        if (e > 0) /* a normal term's implicit bit */
+            mant |= UINT64_C(1) << 52;
+        bin[e][0] += mant;
+        bin[e][1] += bin[e][0] < mant;
+    }
+    /* bin e holds multiples of 2^(max(e, 1) - 1075): subnormals share the
+       unit of the smallest normals */
+    for (e = 0; e < BINS; e++) {
+        if (bin[e][0] | bin[e][1]) {
+            add_at(limb, bin[e][0], e > 0 ? e - 1 : 0);
+            add_at(limb, bin[e][1], (e > 0 ? e - 1 : 0) + 64);
+        }
+    }
+    for (i = 0; i < LIMBS - 1; i++) {
+        limb[i + 1] += limb[i] >> 32;
+        limb[i] &= LOW32;
+    }
+    for (top = LIMBS - 1; top >= 0 && limb[top] == 0; top--)
+        ;
+    if (top < 0)
+        return 0.0;
+    /* p: the position of the top bit */
+    for (p = 32 * top, bits = limb[top]; bits > 1; bits >>= 1)
+        p++;
+    if (p < 53) /* exact: below 2^-1021 */
+        return ldexp((double)(limb[0] | limb[1] << 32), -1074);
+    /* the 53 bits from the top, then the bit below them and any bit below
+       that, to round half-even */
+    shift = p - 52;
+    i = shift / 32;
+    r = shift % 32;
+    mant = limb[i] >> r | limb[i + 1] << (32 - r);
+    if (r > 0)
+        mant |= limb[i + 2] << (64 - r);
+    mant &= (UINT64_C(1) << 53) - 1;
+    i = (shift - 1) / 32;
+    r = (shift - 1) % 32;
+    half = limb[i] >> r & 1;
+    sticky = limb[i] & ((UINT64_C(1) << r) - 1);
+    while (sticky == 0 && i > 0)
+        sticky = limb[--i];
+    if (half && (sticky != 0 || (mant & 1)))
+        mant += 1; /* 2^53 at most, still exact */
+    sum = ldexp((double)mant, shift - 1074);
+    return isfinite(sum) ? sum : fsum_partials(terms, n);
 }
 
 /* moves[] is the array of `policy.decision_table`: each position's rules on

@@ -38,12 +38,13 @@ n_q and n_u integrals clipped to (warmup, horizon], the busy time over
 (0, horizon], the age integral, and each class's count and sum of system
 times after the warmup; the peak-age samples are kept and summed as
 ``math.fsum`` sums them, correctly rounded, so their mean, that sum over
-their count, is ``statistics.fmean``'s. The age starts at 0 at t = 0, as if an
-update generated then were delivered, so the first peak spans from time 0;
-each peak is (inter-arrival) + (system time) from the raw timestamps, the
-defining decomposition of a peak (Kaul, Yates & Gruteser, INFOCOM 2012). The
-age areas square as ``x * x``: ``x ** 2`` calls libm's pow, which is not
-correctly rounded on every input.
+their count, is ``statistics.fmean``'s. A correctly rounded sum has one
+value, so the C loop below may take it another way than CPython does. The
+age starts at 0 at t = 0, as if an update generated then were delivered, so
+the first peak spans from time 0; each peak is (inter-arrival) + (system
+time) from the raw timestamps, the defining decomposition of a peak (Kaul,
+Yates & Gruteser, INFOCOM 2012). The age areas square as ``x * x``:
+``x ** 2`` calls libm's pow, which is not correctly rounded on every input.
 
 The loop has one contract and two implementations. Both take the same
 arguments and write the same outputs, which `_python_loop`'s docstring
@@ -51,16 +52,21 @@ gives, so `_simulate` allocates them once, calls whichever loop runs and
 reads one layout. Where a C compiler is found, the loop and the draws run in
 one C library: `_event_loop.c` transcribes `_python_loop`, which defines it,
 line for line, sums included: the same branches, comparisons and
-operations, each term added in the same order, and CPython's ``math.fsum``
-for the peak-age sum. The library is built at
-the first replication with ``cc -O2 -fPIC -shared -ffp-contract=off
--std=c99 -lm`` into the per-user cache ``~/.cache/freshsched``, and loaded
-through ctypes. Its results equal the Python loop's to the bit, since each
-operation on doubles is rounded once in either language: the build allows
-no contraction into fused multiply-adds and no ``-ffast-math``, and the
-source refuses to build where doubles would be evaluated in extended
-precision. Where no compiler is found the Python loop runs; where the build
-or the load fails, it runs after one RuntimeWarning.
+operations, each term added in the same order, and ``math.fsum``'s value for
+the peak-age sum. Terms that are all finite with the sign bit clear, as
+peak-age samples are, are summed exactly in integers, one bin per binary
+exponent, and rounded once; any other terms take CPython's ``fsum``
+transcribed, since only its order of operations gives its results on mixed
+signs and on an intermediate overflow, so only the tests reach it. The
+library is built at the first replication with ``cc -O2 -fPIC -shared
+-ffp-contract=off -std=c99 -lm`` into the per-user cache
+``~/.cache/freshsched``, and loaded through ctypes. Its results equal the
+Python loop's to the bit, since each operation on doubles is rounded once in
+either language: the build allows no contraction into fused multiply-adds
+and no ``-ffast-math``, and the source refuses to build where doubles would
+be evaluated in extended precision. Where no compiler is found the Python
+loop runs; where the build or the load fails, it runs after one
+RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -70,7 +76,6 @@ import math
 import os
 import platform
 import shutil
-import statistics
 import subprocess
 import tempfile
 import warnings
@@ -517,7 +522,9 @@ METRIC_FIELDS = {
 
 
 def aggregate(runs: Sequence[ReplicationMetrics]) -> Dict[str, SummaryStats]:
-    """Per-metric mean, sample stddev, and 95% normal half-width over replications."""
+    """Per-metric mean, sample stddev, and 95% normal half-width over
+    replications; the mean and the stddev correctly rounded, as
+    ``statistics.fmean`` and ``statistics.stdev`` take them."""
     if not runs:
         raise ValueError("need at least one replication")
     out = {}
@@ -529,10 +536,47 @@ def aggregate(runs: Sequence[ReplicationMetrics]) -> Dict[str, SummaryStats]:
         elif n == 1:
             out[name] = SummaryStats(values[0], None, None, 1)
         else:
-            s = statistics.stdev(values)
-            out[name] = SummaryStats(statistics.fmean(values), s,
-                                     1.96 * s / math.sqrt(n), n)
+            s = _stdev(values)
+            out[name] = SummaryStats(math.fsum(values) / n, s, 1.96 * s / math.sqrt(n), n)
     return out
+
+
+def _stdev(values: Sequence[float]) -> float:
+    """The sample standard deviation of two or more finite floats, correctly
+    rounded: ``statistics.stdev``'s value, without its sums in Fractions.
+
+    Each value is a / 2**k, so over their common denominator 2**scale they
+    are integers x, and the sample variance is exactly
+    (n sum(x*x) - sum(x)**2) / (n (n - 1) 4**scale). An inf or a NaN raises
+    in ``as_integer_ratio``.
+    """
+    ratios = [value.as_integer_ratio() for value in values]
+    scale = max(denominator for _, denominator in ratios).bit_length() - 1
+    x = [numerator << (scale - denominator.bit_length() + 1) for numerator, denominator in ratios]
+    n, total = len(x), sum(x)
+    return _sqrt_of_frac(n * sum(a * a for a in x) - total * total, n * (n - 1) << 2 * scale)
+
+
+def _sqrt_of_frac(n: int, m: int) -> float:
+    """The square root of n/m, correctly rounded, for integers n >= 0 and
+    m > 0: a copy of CPython 3.11's private ``statistics._float_sqrt_of_frac``.
+    The integer square root of n/m, scaled to at least 55 bits, two more
+    than a float's, is rounded to odd, so that its one rounding to a float
+    is correct (https://bugs.python.org/msg407078)."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2  # 109 = 2 * 53 + 3
+    if q >= 0:
+        numerator = _isqrt_rto(n, m << 2 * q) << q
+        denominator = 1
+    else:
+        numerator = _isqrt_rto(n << -2 * q, m)
+        denominator = 1 << -q
+    return numerator / denominator
+
+
+def _isqrt_rto(n: int, m: int) -> int:
+    """The square root of n/m, rounded to an integer by round-to-odd."""
+    a = math.isqrt(n // m)
+    return a | (a * a * m != n)
 
 
 def littles_law_residual(metrics: ReplicationMetrics,

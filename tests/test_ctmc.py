@@ -247,8 +247,9 @@ class TestQbdSolve:
 
     def test_a_stalled_conservation_gap_stops_the_doubling(self, monkeypatch):
         # at rho = 0.99999 the band is below 1e-9 from c = 32 on, but round-off,
-        # which 1 / (1 - rho) amplifies, holds the relative gap at 1.49e-6 from
-        # c = 64 on; doubling on to the phase cap took over two minutes
+        # which 1 / (1 - rho) amplifies, holds the relative gap near 1.5e-6 from
+        # c = 64 on: 1.45e-6 there, and 1.64e-6 at c = 128, where `freshsched
+        # solve` stops; doubling on to the phase cap took over two minutes
         inner, rounds = ctmc._solve_qbd, []
 
         def counted(params, table, c):

@@ -305,7 +305,8 @@ def test_the_source_compiles_without_warnings(tmp_path):
     # in the order of the build: the source before -lm
     built = subprocess.run([shutil.which(simulator._COMPILER), os.fspath(simulator._SOURCE),
                             "-o", os.fspath(library), *simulator._CFLAGS,
-                            "-Wall", "-Wextra", "-Werror"], capture_output=True, text=True)
+                            "-Wall", "-Wextra", "-Wpedantic", "-Werror"],
+                           capture_output=True, text=True)
     assert built.returncode == 0, built.stderr
     assert built.stderr == ""
     # `simulator` calls them by name: a renamed one fails here, not at a draw
@@ -339,11 +340,27 @@ def c_fsum(terms):
 # the half-even fix-up, [0.1] * 10 from a naive sum
 FSUM_CASES = [[1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100], [0.1] * 10,
               [5e-324, 5e-324, -1e-310, 2.2250738585072009e-308, 1e-320], [], [1.0],
-              [1.0, 2.0 ** -53, 2.0 ** -53]]
+              [1.0, 2.0 ** -53, 2.0 ** -53],
+              # terms that are all finite with the sign bit clear take the
+              # integer bins: ties to even, down and then up, and a tie broken
+              # by a bit far below it
+              [2.0 ** 53, 1.0], [2.0 ** 53, 3.0], [2.0 ** 53, 1.0, 2.0 ** -100],
+              # subnormals only, whose sum is exact
+              [5e-324, 2.0 ** -1060, 2.2250738585072004e-308, 1e-320],
+              # a sum just inside DBL_MAX (one past it is among the NaN cases)
+              [1.7976931348623157e308 / 4] * 3,
+              # a -0.0 term sends all of them to the partials
+              [1.0, -0.0, 2.0 ** -60],
+              # 100 000 mantissas of 2**52 + 1 in one bin overflow its low word
+              [float(2 ** 52 + 1)] * 100_000]
+
+
+def fsum_case_id(terms):
+    return repr(terms) if len(terms) < 1000 else f"[{terms[0]!r}] * {len(terms)}"
 
 
 @needs_compiler
-@pytest.mark.parametrize("terms", FSUM_CASES, ids=repr)
+@pytest.mark.parametrize("terms", FSUM_CASES, ids=fsum_case_id)
 def test_the_c_sum_is_math_fsum_on_hand_picked_terms(terms):
     assert c_fsum(terms) == math.fsum(terms)
 
@@ -354,6 +371,8 @@ def random_terms(kind, rng, n):
         return rng.exponential(size=n)
     if kind == "e-700-to-e700":  # most need more than 64 partials
         return signs * np.exp(rng.uniform(-700.0, 700.0, n))
+    if kind == "positive-e-745-to-e700":  # subnormals to 1e304, in the integer bins
+        return np.exp(rng.uniform(-745.0, 700.0, n))
     if kind == "cancelling":
         return signs * rng.choice([1.0, 1e16, 1e-16, 2.0 ** -53, 1.0 + 2.0 ** -52], n)
     if kind == "scaled-integers":
@@ -364,7 +383,8 @@ def random_terms(kind, rng, n):
 
 @needs_compiler
 @pytest.mark.parametrize("seed, kind", enumerate(["exponential", "e-700-to-e700", "cancelling",
-                                                   "scaled-integers", "powers-of-two"]))
+                                                   "scaled-integers", "powers-of-two",
+                                                   "positive-e-745-to-e700"]))
 def test_the_c_sum_is_math_fsum_on_seeded_terms(seed, kind):
     rng = np.random.default_rng(seed)
     for _ in range(200):
@@ -377,7 +397,9 @@ def test_the_c_sum_is_nan_where_math_fsum_raises():
     assert c_fsum([math.inf, 1.0]) == math.fsum([math.inf, 1.0]) == math.inf
     assert math.isnan(c_fsum([1.0, math.nan]))
     for terms, error in (([math.inf, -math.inf], ValueError),
-                         ([1e308, 1e308, -1e308], OverflowError)):  # an intermediate overflow
+                         ([1e308, 1e308, -1e308], OverflowError),  # an intermediate overflow
+                         # finite and positive, but the sum rounds past DBL_MAX
+                         ([1.7976931348623157e308] * 2, OverflowError)):
         with pytest.raises(error):
             math.fsum(terms)
         assert math.isnan(c_fsum(terms))

@@ -1,5 +1,7 @@
 """No command loads scipy: only the truncated reference chain, which the tests
-and the benchmark call, imports it."""
+and the benchmark call, imports it. Nor does one load `statistics`, whose
+exact sums in Fractions `simulator.aggregate` replaced, or the `fractions`
+and `decimal` it imports."""
 import os
 import subprocess
 import sys
@@ -11,8 +13,8 @@ from test_configs import cut_to_two_points
 
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = ROOT / "scripts" / "configs" / "update_load_sweep.cfg"
-# runs the command given on its command line, if any, and prints the scipy
-# modules loaded by then
+# runs the command given on its command line, if any, and prints the modules
+# of statistics and of scipy loaded by then
 PROBE = """\
 import sys
 import freshsched.ctmc
@@ -20,6 +22,8 @@ if len(sys.argv) > 1:
     from freshsched import cli
     code = cli.main(sys.argv[1:])
     assert code == 0, f"exit code {code}"
+print("statistics modules:", sorted(m for m in sys.modules
+                                    if m in ("statistics", "fractions", "decimal")))
 print("scipy modules:", sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
 
@@ -45,4 +49,4 @@ def test_no_command_loads_scipy(tmp_path, argv):
     done = subprocess.run([sys.executable, "-c", PROBE, *argv], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines()[-1] == "scipy modules: []"
+    assert done.stdout.splitlines()[-2:] == ["statistics modules: []", "scipy modules: []"]

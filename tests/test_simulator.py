@@ -1,4 +1,6 @@
 import math
+import statistics
+import sys
 
 import numpy as np
 import pytest
@@ -283,6 +285,34 @@ class TestAggregate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate([])
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.stdev is correctly rounded from Python 3.11 on")
+    @pytest.mark.parametrize("seed, kind", enumerate(["exponential", "equal", "subnormal",
+                                                      "1e300", "2**-52-grid"]))
+    def test_stddev_and_mean_are_those_of_statistics(self, seed, kind):
+        # both are correctly rounded, so each has one value
+        rng = np.random.default_rng(seed)
+        for n in range(2, 31):
+            if kind == "exponential":
+                values = rng.exponential(size=n)
+            elif kind == "equal":
+                values = np.zeros(n)
+            elif kind == "subnormal":
+                values = rng.integers(0, 2 ** 20, n) * 5e-324
+            elif kind == "1e300":
+                values = rng.uniform(0.5, 1.5, n) * 1e300
+            else:
+                values = 1.0 + rng.integers(0, 2 ** 10, n) * 2.0 ** -52
+            values = values.tolist()
+            stats = aggregate([self.run(value) for value in values])["paoi"]
+            assert stats.stddev == statistics.stdev(values), values
+            assert stats.mean == statistics.fmean(values), values
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_a_non_finite_mean_raises(self, value):
+        with pytest.raises((OverflowError, ValueError)):
+            aggregate([self.run(1.0), self.run(value)])
 
 
 class TestLittlesLaw:
