@@ -114,7 +114,7 @@ def _cmd_simulate(args) -> int:
     params = _params(args)
     policy = _build_policy(args)
     sim = _sim_config(args)
-    stats = experiment.simulate_policies(params, [policy], sim)[0]
+    stats = experiment.simulate_policies([(params, policy)], sim)[0]
     if params.rho >= 1:
         print(f"warning: rho = {params.rho:.4g} >= 1, metrics are transient", file=sys.stderr)
     for metric in experiment.METRICS:
@@ -157,7 +157,7 @@ def _cmd_compare(args) -> int:
         raise ValidationError(f"compare needs --reps >= 2, got {sim.replications}: "
                               "a confidence interval needs two replications")
     stability_guard(params)
-    stats = experiment.simulate_policies(params, [policy], sim)[0]
+    stats = experiment.simulate_policies([(params, policy)], sim)[0]
     results = {source: experiment.exact_result(source, policy, params)
                for source in experiment.applicable_sources(policy) if source != "sim"}
     print(f"{'metric':<16}{'sim mean':>12}{'ci':>10}", end="")

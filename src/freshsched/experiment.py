@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import analytic, ctmc
 from .config import THRESHOLD_AXES, ExperimentSpec
@@ -111,14 +111,19 @@ def result_rows(policy, params: ModelParams, source: str,
     return rows
 
 
-def simulate_policies(params: ModelParams, policies: Sequence,
+def simulate_policies(pairs: Sequence[Tuple[ModelParams, object]],
                       sim: SimConfig) -> List[Dict[str, SummaryStats]]:
-    """Each policy's statistics at one point, replication-major: every policy
-    runs on a replication's jobs before the next replication is drawn, so
-    `simulator.draw_jobs` draws each replication once."""
-    runs: List[list] = [[] for _ in policies]
+    """The statistics of each (params, policy) pair, replication-major: every
+    pair runs on replication r before any pair runs on r + 1.
+
+    So `simulator.unit_draws` draws each replication's streams once for the
+    whole sequence, and each pair only divides them by its rates; a pair
+    whose rates are those of the pair before it reads the arrival epochs
+    that `simulator.draw_jobs` keeps.
+    """
+    runs: List[list] = [[] for _ in pairs]
     for rep in range(sim.replications):
-        for mine, policy in zip(runs, policies):
+        for mine, (params, policy) in zip(runs, pairs):
             mine.append(run_replication(params, policy, sim, rep))
     return [aggregate(mine) for mine in runs]
 
@@ -142,14 +147,13 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
     ``METRICS`` and then ``SOURCES``.
 
     The (point, policy, sources) triples are planned first. The simulated
-    pairs are grouped by their rates: a rate sweep makes one group per point,
-    and a threshold axis one group for the whole sweep. Each group runs
-    through `simulate_policies`, so its policies share each replication's jobs.
+    pairs, in that order, run through one `simulate_policies`, so the whole
+    sweep runs replication-major and its points share each replication's
+    unit draws; the policies of one point share its arrival epochs too.
     """
     points = spec.sweep.points() if spec.sweep else [None]
     axis = spec.sweep.rate if spec.sweep else None
     plan = []
-    groups: Dict[ModelParams, List[int]] = {}  # plan indices of the simulated pairs
     for value in points:
         rates = {"lambda_u": spec.lambda_u, "lambda_q": spec.lambda_q,
                  "mu_u": spec.mu_u, "mu_q": spec.mu_q}
@@ -161,14 +165,11 @@ def run_experiment(spec: ExperimentSpec) -> List[ResultRow]:
             policy = (dataclasses.replace(run.spec, **{axis: int(value)})
                       if axis in THRESHOLD_AXES else run.spec)
             sources = applicable_sources(policy) if run.source == "all" else [run.source]
-            if "sim" in sources:
-                groups.setdefault(params, []).append(len(plan))
             plan.append((params, policy, sources))
 
-    stats = {}
-    for params, members in groups.items():
-        policies = [plan[index][1] for index in members]
-        stats.update(zip(members, simulate_policies(params, policies, spec.sim)))
+    simulated = [index for index, (_, _, sources) in enumerate(plan) if "sim" in sources]
+    stats = dict(zip(simulated, simulate_policies([plan[index][:2] for index in simulated],
+                                                  spec.sim)))
 
     rows: List[ResultRow] = []
     for index, (params, policy, sources) in enumerate(plan):

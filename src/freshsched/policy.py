@@ -61,29 +61,28 @@ def initial_state() -> SchedulerState:
     return SchedulerState(0, 0, ServerPosition.IDLE)
 
 
+def _fires(position: int, n_q: int, n_u: int, trigger: int) -> bool:
+    """Whether ``trigger`` can fire in the state (n_q, n_u, position): a
+    serving position holds a job of the class it serves, idle holds none,
+    and a departure is of the class served."""
+    if position == Z_IDLE:
+        valid = n_q == n_u == 0
+    else:
+        valid = (n_q if position == Z_QUERY else n_u) >= 1
+    if trigger >= DEPART_U:
+        return valid and position == (Z_QUERY if trigger == DEPART_Q else Z_UPDATE)
+    return valid
+
+
 def _apply_counts(state: SchedulerState, trigger: Trigger) -> tuple:
     n_q, n_u = state.n_q, state.n_u
     if trigger is Trigger.ARRIVAL_QUERY:
         return n_q + 1, n_u
     if trigger is Trigger.ARRIVAL_UPDATE:
         return n_q, n_u + 1
-    # a valid serving state holds a job of the class it serves
     if trigger is Trigger.DEPARTURE_QUERY:
-        if state.position is not ServerPosition.SERVING_QUERY:
-            raise InconsistentTrigger(f"query departure from {state}")
         return n_q - 1, n_u
-    if state.position is not ServerPosition.SERVING_UPDATE:
-        raise InconsistentTrigger(f"update departure from {state}")
     return n_q, n_u - 1
-
-
-def _validate_state(state: SchedulerState) -> None:
-    if state.position is ServerPosition.SERVING_QUERY and state.n_q < 1:
-        raise InconsistentTrigger(f"serving queries with n_q = {state.n_q}")
-    if state.position is ServerPosition.SERVING_UPDATE and state.n_u < 1:
-        raise InconsistentTrigger(f"serving updates with n_u = {state.n_u}")
-    if state.position is ServerPosition.IDLE and (state.n_q or state.n_u):
-        raise InconsistentTrigger(f"idle with jobs present: {state}")
 
 
 def thresholds(policy) -> tuple:
@@ -140,7 +139,8 @@ def _decide_joint(m, n, state, trigger, n_q, n_u) -> SchedulerState:
 
 def decide(policy, state: SchedulerState, trigger: Trigger) -> SchedulerState:
     """Apply one arrival/departure event and return the post-event state."""
-    _validate_state(state)
+    if not _fires(state.position, state.n_q, state.n_u, trigger):
+        raise InconsistentTrigger(f"{trigger.name} cannot fire from {state}")
     n_q, n_u = _apply_counts(state, trigger)
     if n_q and n_u and trigger >= Trigger.DEPARTURE_UPDATE and isinstance(policy, Fcfs):
         raise FcfsOrderUndetermined("both queues nonempty after an FCFS departure")
@@ -171,17 +171,18 @@ def _cap(threshold) -> int:
 
 
 def _table_entry(policy, state: SchedulerState, trigger: Trigger):
+    if not _fires(state.position, state.n_q, state.n_u, trigger):
+        return NO_POSITION
     try:
         return int(decide(policy, state, trigger).position)
-    except InconsistentTrigger:
-        return NO_POSITION
     except FcfsOrderUndetermined:
         return OLDER_HEAD
 
 
 @functools.lru_cache(maxsize=64)
 def decision_table(policy) -> DecisionTable:
-    """Call `decide` once on every valid state with counts up to the caps."""
+    """Call `decide` once on every state with counts up to the caps from
+    which the trigger can fire; the other entries are `NO_POSITION`."""
     m, n = thresholds(policy)
     cap_q, cap_u = _cap(n), _cap(m)
     table = np.array([[[[_table_entry(policy, SchedulerState(i, j, position), trigger)

@@ -2,18 +2,26 @@
 
 Each replication derives four RNG streams (update/query arrivals, update/query
 service draws) deterministically from (base_seed, rep_index), so every policy
-run on the same seed sees identical jobs (common random numbers). `draw_jobs`
-draws them in blocks before the event loop: arrival epochs through the first
-one past the horizon, and one service requirement per arrival, in arrival
-order, as read-only float64 arrays. It keeps the last replication's jobs, so
-policies run back to back on one replication (as `experiment` runs them) draw
-its jobs once. A draw is -ln(u)/rate with libm's ``log``: the C library
-below calls it over each block of uniforms, and where that library does not
-run, ``math.log``, which calls it too, is mapped over them; the negation and
-the division follow, each rounded once, and the arrival epochs' running sum
-is ``np.cumsum``, which adds left to right. ``np.log`` would be faster, but
-it is vectorised differently and moves the last bit of some draws (6972 of
-2M uniforms on an AVX-512 Xeon), which would change every result.
+run on the same seed sees identical jobs (common random numbers). A draw is
+-ln(u)/rate, and neither the uniforms nor their logs depend on the rate:
+`unit_draws` keeps one replication's four streams of -ln(u), drawn in blocks
+on the first read and extended in order when a later read reaches further,
+so a sweep that `experiment` runs replication-major draws each replication
+once, whatever its points' rates. `draw_jobs` takes the jobs from them:
+the arrival epochs, a running sum of the draws over the rate through the
+first one past the horizon, and one service requirement at unit rate per
+arrival, in arrival order, as read-only float64 arrays. It keeps one point's
+epochs for the policies that run there back to back. A run divides the
+service requirements by its classes' rates straight into the remaining work
+its loop writes. The log is libm's ``log``: the C library below calls it
+over each block of uniforms, and where that library does not run,
+``math.log``, which calls it too, is mapped over them; the negation is
+exact and the division by the rate is rounded once, as a draw at that rate
+rounds it, and the running sum is ``np.cumsum``, which adds left to right,
+carried across blocks. So the jobs are those of one draw per event.
+``np.log`` would be faster, but it is vectorised differently and moves the
+last bit of some draws (6972 of 2M uniforms on an AVX-512 Xeon), which would
+change every result.
 
 The event loop moves the state machine. Each event kind has one branch:
 a departure, which comes first, then an update arrival, then a query arrival,
@@ -22,16 +30,17 @@ itself, adds the interval since the last event to the sums, reads the
 switching decision from `policy.decision_table`, moves the queue counts and
 heads and, on a change of position, banks the remaining work of a preempted
 head. A position's rules are read from the table only when the position
-changes. A departure writes its epoch at the departing head's index into a
-preallocated array, adds its system time and, for an update, its peak-age
-sample and the age area since the last delivery, then starts the next job
-directly, since the departed head has no work to bank. Within a class
-service is FIFO preempt-resume, so each queue is a head index into its
-class's arrays, only the head can be part-served and updates are delivered
-in generation order; the remaining work is written into a copy of the
-service requirements. The Python loop reads the arrival epochs as lists and
-writes through memoryviews, since indexing a numpy array in a Python loop
-makes a numpy scalar per access and is slower.
+changes. A departure writes its epoch at the departing head's index, adds
+its system time and, for an update, its peak-age sample and the age area
+since the last delivery, then starts the next job directly, since the
+departed head has no work to bank. Within a class service is FIFO
+preempt-resume, so each queue is a head index into its class's arrays,
+only the head can be part-served and updates are delivered in generation
+order; the remaining work is written over the service requirements, and a
+departure's epoch over its head's spent work, since no loop reads the
+remaining work below the heads. The Python loop reads the arrival epochs as
+lists and writes through memoryviews, since indexing a numpy array in a
+Python loop makes a numpy scalar per access and is slower.
 
 So every sum of a replication is taken in the one pass over the events: the
 n_q and n_u integrals clipped to (warmup, horizon], the busy time over
@@ -138,8 +147,32 @@ def exponential_draws(rate: float, stream, n: int) -> np.ndarray:
     return draws
 
 
+class UnitDraws:
+    """One stream's exponential draws at unit rate, -ln(u), in the order of
+    its uniforms: drawn on the first read and extended in order when a later
+    read reaches further, so a read does not depend on the reads before it.
+
+    Divided by a rate they are `exponential_draws` at that rate to the bit,
+    since the negation is exact and the division the same one rounding.
+    """
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.values = np.empty(0)
+
+    def first(self, n: int) -> np.ndarray:
+        """The first ``n`` draws, read-only."""
+        if n > len(self.values):
+            more = exponential_draws(1.0, self.stream, n - len(self.values))
+            self.values = np.concatenate((self.values, more)) if len(self.values) else more
+            self.values.flags.writeable = False
+        return self.values[:n]
+
+
 def _arrival_epochs(rate: float, stream, horizon: float) -> np.ndarray:
-    """Poisson arrival epochs in (0, horizon], then the first one past it."""
+    """Poisson arrival epochs in (0, horizon], then the first one past it,
+    from the uniforms of ``stream`` or from the draws of a `UnitDraws`."""
+    draws = stream if isinstance(stream, UnitDraws) else UnitDraws(stream)
     # four standard deviations over the mean count, so one block nearly
     # always reaches past the horizon
     mean = rate * horizon
@@ -149,10 +182,11 @@ def _arrival_epochs(rate: float, stream, horizon: float) -> np.ndarray:
     while last <= horizon:
         # a running sum carried across blocks, so each epoch is its
         # predecessor plus one draw, added left to right
-        draws = exponential_draws(rate, stream, block)
-        draws[0] += last
-        blocks.append(np.cumsum(draws, out=draws))
-        last = draws[-1]
+        read = block * len(blocks)
+        epochs = draws.first(read + block)[read:] / rate
+        epochs[0] += last
+        blocks.append(np.cumsum(epochs, out=epochs))
+        last = epochs[-1]
     epochs = np.concatenate(blocks) if len(blocks) > 1 else blocks[0]  # one block: no copy
     return epochs[:np.searchsorted(epochs, horizon, side="right") + 1]
 
@@ -163,27 +197,38 @@ def _rng_streams(base_seed: int, rep_index: int):
 
 
 @lru_cache(maxsize=1)
+def unit_draws(base_seed: int, rep_index: int) -> Tuple[UnitDraws, ...]:
+    """Replication ``rep_index``'s four streams of unit draws: update and
+    query arrivals, then update and query service.
+
+    They depend on the seed and the replication alone. The one-entry memo
+    keeps them while the points of a sweep run on the replication one after
+    another, so each point reads them, further where its rates ask for more
+    draws, and none draws or takes the log of a uniform twice.
+    """
+    return tuple(map(UnitDraws, _rng_streams(base_seed, rep_index)))
+
+
+@lru_cache(maxsize=1)
 def draw_jobs(params: ModelParams, config: SimConfig,
               rep_index: int) -> Tuple[np.ndarray, ...]:
-    """Replication ``rep_index``'s jobs as float64 arrays: the update and
-    query arrival epochs (each through the first one past the horizon), then
-    the update and query service requirements, one per arrival inside the
-    horizon.
+    """Replication ``rep_index``'s jobs as read-only float64 arrays: the
+    update and query arrival epochs (each through the first one past the
+    horizon), then the update and query service requirements at unit rate,
+    one per arrival inside the horizon, which a run divides by its class's
+    service rate.
 
-    They depend on the rates, the horizon, the seed and the replication, not
-    on the policy. The one-entry memo serves every policy that runs on this
-    replication right after the first; the arrays are read-only, which keeps
-    those callers from writing to the shared jobs.
+    The epochs depend on the arrival rates, the horizon, the seed and the
+    replication, not on the policy. The one-entry memo keeps them for every
+    policy that runs on this replication at these rates right after the
+    first; the service requirements are views of the `unit_draws`, which
+    every rate shares.
     """
-    u_arr, q_arr, u_svc, q_svc = _rng_streams(config.base_seed, rep_index)
+    u_arr, q_arr, u_svc, q_svc = unit_draws(config.base_seed, rep_index)
     arrive_u = _arrival_epochs(params.lambda_u, u_arr, config.horizon)
     arrive_q = _arrival_epochs(params.lambda_q, q_arr, config.horizon)
-    jobs = (arrive_u, arrive_q,
-            exponential_draws(params.mu_u, u_svc, len(arrive_u) - 1),
-            exponential_draws(params.mu_q, q_svc, len(arrive_q) - 1))
-    for stream in jobs:
-        stream.flags.writeable = False
-    return jobs
+    arrive_u.flags.writeable = arrive_q.flags.writeable = False
+    return (arrive_u, arrive_q, u_svc.first(len(arrive_u) - 1), q_svc.first(len(arrive_q) - 1))
 
 
 @dataclass
@@ -221,7 +266,9 @@ def _python_loop(table, cap_q, cap_u, arrive_u, arrive_q, remain_u, remain_q, de
     ``remain_u`` and ``remain_q`` start as the service requirements and take
     the remaining work of preempted heads, and ``depart_u`` and
     ``depart_q`` take each departure's epoch at the departing head's index,
-    so their first h_u and h_q entries are written. ``state`` takes (n_q,
+    so their first h_u and h_q entries are written. They may be
+    ``remain_u`` and ``remain_q`` themselves, as `_simulate` passes them,
+    since neither loop reads the remaining work below a head. ``state`` takes (n_q,
     n_u, h_q, h_u, position, responses, updates), the last two the counts of
     queries and of updates that departed after the warmup; ``paoi`` one
     peak-age sample per update that departed after the warmup; ``sums``
@@ -448,8 +495,7 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not 0 <= rep_index < config.replications:
         raise ValueError(f"rep_index {rep_index} outside 0..{config.replications - 1}")
     horizon, warmup = config.horizon, config.warmup
-    jobs = draw_jobs(params, config, rep_index)
-    at_u, at_q, work_u, work_q = jobs
+    at_u, at_q, work_u, work_q = draw_jobs(params, config, rep_index)
     # either loop reads arrivals up to the first one past the horizon, and
     # writes one departure and remaining work per earlier arrival
     for arrivals, work in ((at_u, work_u), (at_q, work_q)):
@@ -459,10 +505,12 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     library = _compiled_loop() if COMPILED_LOOP else None
     loop = _python_loop if library is None else library.freshsched_event_loop
     cap_q, cap_u, table = decision_table(policy)
-    remain_u, remain_q = work_u.copy(), work_q.copy()
-    depart_u, depart_q = np.empty_like(remain_u), np.empty_like(remain_q)
+    # the service requirements at the point's rates, divided straight into
+    # the remaining work; a departure's epoch overwrites its head's spent
+    # work, since a loop reads no remaining work below the heads
+    remain_u, remain_q = np.divide(work_u, params.mu_u), np.divide(work_q, params.mu_q)
     paoi, state, sums = np.empty_like(remain_u), np.empty(7, np.int64), np.empty(7)
-    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, depart_u, depart_q,
+    completion = loop(table, cap_q, cap_u, at_u, at_q, remain_u, remain_q, remain_u, remain_q,
                       warmup, horizon, state, sums, paoi)
     if math.isnan(completion):
         raise RuntimeError(f"the decision table of {policy} led to no server position")
@@ -484,12 +532,14 @@ def _simulate(params, policy, config, rep_index, collect_jobs):
     if not collect_jobs:
         return metrics, None
 
-    # plain floats in the records and the samples
-    arrive_u, arrive_q, work_u, work_q = (stream.tolist() for stream in jobs)
+    # plain floats in the records and the samples; the departures are the
+    # first h_u and h_q entries of the remaining work
+    arrive_u, arrive_q, work_u, work_q = (
+        stream.tolist() for stream in (at_u, at_q, work_u / params.mu_u, work_q / params.mu_q))
     jobs = ([JobRecord(JobClass.QUERY, *job)
-             for job in zip(arrive_q, work_q, depart_q[:h_q].tolist())]
+             for job in zip(arrive_q, work_q, remain_q[:h_q].tolist())]
             + [JobRecord(JobClass.UPDATE, *job)
-               for job in zip(arrive_u, work_u, depart_u[:h_u].tolist())])
+               for job in zip(arrive_u, work_u, remain_u[:h_u].tolist())])
     completed_service = sum(job.service_requirement for job in jobs)
     arrived_service = sum(work_q) + sum(work_u)
     residual_work = 0.0

@@ -72,8 +72,11 @@ def system_times(arrivals: Sequence[float], departures: Sequence[float],
 def reference_replication(params, policy, config, rep_index):
     """The metrics and detail of one replication, every sum taken in the loop."""
     horizon, warmup = config.horizon, config.warmup
-    arrive_u, arrive_q, work_u, work_q = (
+    arrive_u, arrive_q, unit_u, unit_q = (
         stream.tolist() for stream in simulator.draw_jobs(params, config, rep_index))
+    # the service requirements at unit rate, at the class's service rate
+    work_u = [work / params.mu_u for work in unit_u]
+    work_q = [work / params.mu_q for work in unit_q]
     remain_u, remain_q = list(work_u), list(work_q)
     depart_u: List[float] = []
     depart_q: List[float] = []

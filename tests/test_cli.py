@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import subprocess
@@ -17,10 +18,11 @@ from freshsched.config import (
     parse_config,
     parse_threshold,
 )
-from freshsched.experiment import CSV_HEADER, ResultRow, emit_csv, read_csv, run_experiment
+from freshsched.experiment import (CSV_HEADER, METRICS, ResultRow, emit_csv, read_csv,
+                                  run_experiment)
 from freshsched.model import POLICY_TYPES, UNBOUNDED, Fcfs, JointMN, QueryK, UpdateK
 from freshsched.policy import policy_columns
-from freshsched.simulator import SimConfig, draw_jobs
+from freshsched.simulator import SimConfig, draw_jobs, unit_draws
 from freshsched.svgplot import NoData, emit_plot
 
 BASE_CONFIG = """\
@@ -293,6 +295,40 @@ class TestRunExperiment:
         draw_jobs.cache_clear()
         run_experiment(spec)
         assert draw_jobs.cache_info().misses == draws
+
+    def test_a_rate_sweep_draws_each_replications_streams_once(self, tmp_path):
+        # 3 points of 2 policies on 2 replications: the replication-major
+        # sweep reads each replication's unit draws at every point
+        cfg = (BASE_CONFIG + "\n[policy.u3]\ntype = update-k\nk = 3\n"
+               + "\n[sweep]\nrate = lambda_u\nstart = 0.2\nstop = 0.6\nstep = 0.2\n")
+        spec = parse_config(write_config(tmp_path, cfg))
+        unit_draws.cache_clear()
+        run_experiment(spec)
+        assert unit_draws.cache_info().misses == spec.sim.replications
+
+    @pytest.mark.parametrize("k, sweep", [
+        ("k = 2\n", "rate = lambda_u\nstart = 0.2\nstop = 0.6\nstep = 0.2\n"),
+        ("k = 2\n", "rate = mu_u\nstart = 1\nstop = 2\nstep = 0.5\n"),
+        ("", "rate = k\nstart = 1\nstop = 3\nstep = 1\n"),
+    ], ids=["lambda_u", "mu_u", "threshold"])
+    def test_sim_rows_equal_runs_point_by_point(self, tmp_path, k, sweep):
+        # the shared draws give each point the bits of a point run alone,
+        # its jobs drawn anew; the lambda_u sweep reads further at each
+        # point, the mu_u sweep divides the service draws by another rate
+        cfg = (BASE_CONFIG + "\n[policy.u]\ntype = update-k\n" + k + "\n[sweep]\n" + sweep)
+        if not k:
+            cfg = cfg.replace("type = fcfs", "type = query-k")
+        spec = parse_config(write_config(tmp_path, cfg))
+        rows = [row for row in run_experiment(spec) if row.source == "sim"]
+        alone = []
+        for value in spec.sweep.points():
+            draw_jobs.cache_clear()
+            unit_draws.cache_clear()
+            point = dataclasses.replace(
+                spec, sweep=dataclasses.replace(spec.sweep, start=value, stop=value))
+            alone += [row for row in run_experiment(point) if row.source == "sim"]
+        assert len(rows) == 3 * 2 * len(METRICS)
+        assert rows == alone
 
 
 THRESHOLD_SWEEP = BASE_CONFIG.replace("type = fcfs", "type = query-k") + (

@@ -274,6 +274,23 @@ def assert_same_table(a, b):
     assert np.array_equal(a.next_position, b.next_position)
 
 
+def table_from_decide(policy, cap_q, cap_u):
+    """The decision table as `decide` alone gives it: `decide` on every
+    entry, a raised InconsistentTrigger read as NO_POSITION and an
+    FcfsOrderUndetermined as OLDER_HEAD."""
+    def entry(state, trigger):
+        try:
+            return int(decide(policy, state, trigger).position)
+        except InconsistentTrigger:
+            return NO_POSITION
+        except FcfsOrderUndetermined:
+            return OLDER_HEAD
+    return [[[[entry(SchedulerState(i, j, position), trigger) for j in range(cap_u + 1)]
+              for i in range(cap_q + 1)]
+             for trigger in Trigger]
+            for position in ServerPosition]
+
+
 class TestDecisionTable:
     @pytest.mark.parametrize("policy", [
         Fcfs(), QueryK(1), QueryK(3), QueryK(UNBOUNDED), UpdateK(1), UpdateK(3),
@@ -296,6 +313,23 @@ class TestDecisionTable:
                 assert entry == post.position, (state, trigger)
                 checked += 1
         assert checked > 50
+
+    @pytest.mark.parametrize("policy", [
+        Fcfs(), QueryK(1), QueryK(3), QueryK(UNBOUNDED), UpdateK(1), UpdateK(3),
+        UpdateK(UNBOUNDED), JointMN(1, 1), JointMN(3, 3), JointMN(1, 5), JointMN(6, 2),
+        JointMN(UNBOUNDED, 2), JointMN(4, UNBOUNDED)], ids=str)
+    def test_is_the_table_that_decide_builds(self, policy):
+        # the invalid entries come from a validity test, the others from
+        # `decide`; the reference asks `decide` for every entry
+        cap_q, cap_u, table = decision_table(policy)
+        assert table.tolist() == table_from_decide(policy, cap_q, cap_u)
+        # and the entries that hold no position are the states and triggers
+        # that `enumerate_states` and `valid_triggers` leave out
+        valid = set(enumerate_states(max(cap_q, cap_u)))
+        for z, e, i, j in np.ndindex(table.shape):
+            state = SchedulerState(i, j, ServerPosition(z))
+            fires = state in valid and Trigger(e) in valid_triggers(state)
+            assert (table[z, e, i, j] != NO_POSITION) == fires, (state, Trigger(e))
 
     def test_invalid_entries_are_empty(self):
         _, _, table = decision_table(QueryK(3))

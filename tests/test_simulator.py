@@ -23,6 +23,7 @@ from freshsched.simulator import (
     littles_law_residual,
     run_replication,
     run_replication_detailed,
+    unit_draws,
 )
 
 POLICIES = [Fcfs(), QueryK(3), UpdateK(3), JointMN(3, 3)]
@@ -133,20 +134,29 @@ class TestRunReplication:
         assert a == b
 
     def test_jobs_are_read_only_float_arrays(self):
+        draw_jobs.cache_clear()
         jobs = draw_jobs(self.params, self.config, 0)
         assert len(jobs) == 4
         assert all(stream.dtype == np.float64 and not stream.flags.writeable for stream in jobs)
         with pytest.raises(ValueError):
             jobs[2][0] = 0.0
+        # the service requirements are views of the unit draws, which every
+        # rate of the replication reads
+        assert not any(draws.values.flags.writeable
+                       for draws in unit_draws(self.config.base_seed, 0))
 
     def test_shared_jobs_replay_a_fresh_draw(self):
-        # Query-3 preempts updates first, so a write into the shared jobs
-        # would change what Update-3 then reads from the memo
+        # Query-3 preempts updates first, so a write into the shared jobs or
+        # into the unit draws under them would change what Update-3 then
+        # reads from the memos; the replay draws both anew
         draw_jobs.cache_clear()
+        unit_draws.cache_clear()
         run_replication(self.params, QueryK(3), self.config, 1)
         shared = run_replication_detailed(self.params, UpdateK(3), self.config, 1)
         assert draw_jobs.cache_info()[:2] == (1, 1)  # hits, misses
+        assert unit_draws.cache_info()[:2] == (0, 1)
         draw_jobs.cache_clear()
+        unit_draws.cache_clear()
         assert run_replication_detailed(self.params, UpdateK(3), self.config, 1) == shared
 
     def test_common_random_numbers_across_policies(self):
