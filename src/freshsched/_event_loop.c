@@ -7,10 +7,9 @@
    and no -ffast-math every value it writes is the Python loop's, to the
    bit. The one sum the Python loop takes with math.fsum, that of the
    peak-age samples, is correctly rounded, so it has one value, and
-   freshsched_fsum below takes that value: in integer bins where every term
-   is finite with the sign bit clear, as every peak-age sample is, and else
-   by CPython's fsum transcribed, whose order of operations alone gives its
-   results on mixed signs and on overflow. The last function is the draw
+   freshsched_fsum below takes that value in integer bins; every peak-age
+   sample is finite with the sign bit clear, the one domain it sums in, and
+   outside that domain it returns NaN. The last function is the draw
    -log(u)/rate with libm's log, which math.log calls too. `simulator` builds
    this file on first use and calls it through ctypes. Backquotes mark Python
    names. */
@@ -60,90 +59,6 @@ static double age_area(double g, double t0, double t1, double warmup, double hor
     return (b * b - a * a) / 2.0;
 }
 
-/* room for every partial: see fsum_partials */
-#define PARTIALS 2100
-
-/* The sum of terms[0..n), correctly rounded: CPython 3.11's math_fsum
-   (Modules/mathmodule.c) transcribed, on an array of doubles instead of an
-   iterable. It is Shewchuk's exact summation (Discrete Comput. Geom. 18,
-   1997): each term is added into partials that are kept non-overlapping and
-   increasing in magnitude, their sum is then taken exactly from the top
-   until it becomes inexact, and a half-even fix-up rounds across the
-   partials below. The partials are non-overlapping, so each holds a bit
-   position, between 2^-1074 and 2^1023, that no other holds: there are at
-   most 2098 of them, and PARTIALS doubles on the stack take the place of
-   CPython's growing array. Inf and NaN terms are summed apart, as CPython
-   sums them; where it raises, on an intermediate overflow or on
-   inf + -inf, this returns NaN. */
-static double fsum_partials(const double *terms, int64_t n)
-{
-    double p[PARTIALS];
-    double x, y, t, hi, yr, lo = 0.0, xsave, special_sum = 0.0;
-    int64_t i, j, m = 0; /* m partials in p[] */
-
-    for (int64_t k = 0; k < n; k++) { /* for x in terms */
-        x = terms[k];
-        xsave = x;
-        for (i = j = 0; j < m; j++) { /* for y in partials */
-            y = p[j];
-            if (fabs(x) < fabs(y)) {
-                t = x;
-                x = y;
-                y = t;
-            }
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                p[i++] = lo;
-            x = hi;
-        }
-        m = i; /* p[i:] = [x] */
-        if (x != 0.0) {
-            if (!isfinite(x)) {
-                /* from an intermediate overflow, or from an inf or a NaN
-                   among the terms */
-                if (isfinite(xsave))
-                    return NAN;
-                special_sum += xsave;
-                m = 0; /* reset partials */
-            } else if (m >= PARTIALS) {
-                return NAN; /* more than the bound above allows */
-            } else {
-                p[m++] = x;
-            }
-        }
-    }
-    if (special_sum != 0.0)
-        return special_sum; /* NaN for inf + -inf */
-
-    hi = 0.0;
-    if (m > 0) {
-        hi = p[--m];
-        /* sum_exact(p, hi) from the top, stop when the sum becomes inexact */
-        while (m > 0) {
-            x = hi;
-            y = p[--m];
-            hi = x + y;
-            yr = hi - x;
-            lo = y - yr;
-            if (lo != 0.0)
-                break;
-        }
-        /* Make half-even rounding work across multiple partials: [1e-16, 1,
-           1e16] rounds the last digit up to 2 instead of down to 0, since
-           the 1e-16 makes the 1 slightly closer to 2. */
-        if (m > 0 && ((lo < 0.0 && p[m - 1] < 0.0) || (lo > 0.0 && p[m - 1] > 0.0))) {
-            y = lo * 2.0;
-            x = hi + y;
-            yr = x - hi;
-            if (y == yr)
-                hi = x;
-        }
-    }
-    return hi;
-}
-
 /* one bin per biased exponent; 32-bit limbs from 2^-1074 up, past the
    top bit a bin's two words can reach, 2^(2045 + 128), with two to spare */
 #define BINS 2048
@@ -160,19 +75,18 @@ static void add_at(uint64_t *limb, uint64_t v, int s)
         limb[i + 2] += v >> (64 - r);
 }
 
-/* The sum of terms[0..n), correctly rounded: `math.fsum`'s value. A peak-age
-   sample is never negative, and on terms that are all finite with the sign
-   bit clear the sum is taken in integers, a superaccumulator (Neal, "Fast
-   exact summation using small and large superaccumulators",
-   arXiv:1505.05571, 2015): each term's 53-bit integer mantissa is added
-   into the bin of its biased exponent, a low word and a word that counts
-   its carries; the bins are then folded into 32-bit limbs, whose integer is
-   the exact sum in units of 2^-1074, and that is rounded once, half-even. A
-   correctly rounded sum has one value, so this is CPython's. Any other term
-   (a negative one, -0.0, an inf or a NaN), or a sum that rounds past
-   DBL_MAX, runs fsum_partials on all the terms: only its order of
-   operations gives CPython's results on mixed signs, on an intermediate
-   overflow (NaN here, where CPython raises) and at the DBL_MAX boundary. */
+/* The sum of terms[0..n), correctly rounded: `math.fsum`'s value, where
+   every term is finite with the sign bit clear, as every peak-age sample
+   (generation - g) + (t - generation) is, both parts being at least +0.0.
+   The sum is taken in integers, a superaccumulator (Neal, "Fast exact
+   summation using small and large superaccumulators", arXiv:1505.05571,
+   2015): each term's 53-bit integer mantissa is added into the bin of its
+   biased exponent, a low word and a word that counts its carries; the bins
+   are then folded into 32-bit limbs, whose integer is the exact sum in
+   units of 2^-1074, and that is rounded once, half-even. A correctly
+   rounded sum has one value, so this is CPython's. A term with the sign bit
+   set (-0.0 too), an inf or a NaN, or a sum that rounds past DBL_MAX, gives
+   NaN: no replication writes one, and NaN cannot pass for a mean. */
 double freshsched_fsum(const double *terms, int64_t n)
 {
     uint64_t bin[BINS][2] = {{0}}, limb[LIMBS] = {0}, bits, mant, half, sticky;
@@ -182,7 +96,7 @@ double freshsched_fsum(const double *terms, int64_t n)
     for (int64_t k = 0; k < n; k++) {
         memcpy(&bits, &terms[k], sizeof bits);
         if (bits >= UINT64_C(0x7ff0000000000000)) /* the sign bit, an inf or a NaN */
-            return fsum_partials(terms, n);
+            return NAN;
         e = (int)(bits >> 52);
         mant = bits & ((UINT64_C(1) << 52) - 1);
         if (e > 0) /* a normal term's implicit bit */
@@ -229,7 +143,7 @@ double freshsched_fsum(const double *terms, int64_t n)
     if (half && (sticky != 0 || (mant & 1)))
         mant += 1; /* 2^53 at most, still exact */
     sum = ldexp((double)mant, shift - 1074);
-    return isfinite(sum) ? sum : fsum_partials(terms, n);
+    return isfinite(sum) ? sum : NAN;
 }
 
 /* moves[] is the array of `policy.decision_table`: each position's rules on

@@ -60,22 +60,19 @@ arguments and write the same outputs, which `_python_loop`'s docstring
 gives, so `_simulate` allocates them once, calls whichever loop runs and
 reads one layout. Where a C compiler is found, the loop and the draws run in
 one C library: `_event_loop.c` transcribes `_python_loop`, which defines it,
-line for line, sums included: the same branches, comparisons and
-operations, each term added in the same order, and ``math.fsum``'s value for
-the peak-age sum. Terms that are all finite with the sign bit clear, as
-peak-age samples are, are summed exactly in integers, one bin per binary
-exponent, and rounded once; any other terms take CPython's ``fsum``
-transcribed, since only its order of operations gives its results on mixed
-signs and on an intermediate overflow, so only the tests reach it. The
-library is built at the first replication with ``cc -O2 -fPIC -shared
--ffp-contract=off -std=c99 -lm`` into the per-user cache
-``~/.cache/freshsched``, and loaded through ctypes. Its results equal the
-Python loop's to the bit, since each operation on doubles is rounded once in
-either language: the build allows no contraction into fused multiply-adds
-and no ``-ffast-math``, and the source refuses to build where doubles would
-be evaluated in extended precision. Where no compiler is found the Python
-loop runs; where the build or the load fails, it runs after one
-RuntimeWarning.
+line for line, sums included: the same branches, comparisons and operations,
+each term added in the same order, and ``math.fsum``'s value for the
+peak-age sum: the samples, each finite with the sign bit clear, are summed
+exactly in integers, one bin per binary exponent, and rounded once; on terms
+outside that domain the C sum returns NaN. The library is built at the first
+replication with ``cc -O2 -fPIC -shared -ffp-contract=off -std=c99 -lm``
+into the per-user cache ``~/.cache/freshsched``, and loaded through ctypes.
+Its results equal the Python loop's to the bit, since each operation on
+doubles is rounded once in either language: the build allows no contraction
+into fused multiply-adds and no ``-ffast-math``, and the source refuses to
+build where doubles would be evaluated in extended precision. Where no
+compiler is found the Python loop runs; where the build or the load fails,
+it runs after one RuntimeWarning.
 """
 from __future__ import annotations
 
@@ -169,10 +166,9 @@ class UnitDraws:
         return self.values[:n]
 
 
-def _arrival_epochs(rate: float, stream, horizon: float) -> np.ndarray:
-    """Poisson arrival epochs in (0, horizon], then the first one past it,
-    from the uniforms of ``stream`` or from the draws of a `UnitDraws`."""
-    draws = stream if isinstance(stream, UnitDraws) else UnitDraws(stream)
+def _arrival_epochs(rate: float, draws: UnitDraws, horizon: float) -> np.ndarray:
+    """Poisson arrival epochs in (0, horizon], then the first one past it:
+    the running sum of ``draws`` divided by ``rate``."""
     # four standard deviations over the mean count, so one block nearly
     # always reaches past the horizon
     mean = rate * horizon

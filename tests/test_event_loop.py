@@ -1,7 +1,8 @@
 """The C library (`_event_loop.c`) against the Python it replaces: its event
 loop against `_python_loop`, which defines it, on the same arguments and on
-every output, its exact sum against `math.fsum`, its draws against
-`math.log`; and how it is built, cached and given up.
+every output, its exact sum against `math.fsum` on finite terms with the sign
+bit clear and its NaN on any other, its draws against `math.log`; and how it
+is built, cached and given up.
 
 The C half of this file is skipped where no C compiler is found; there only
 the Python loop runs.
@@ -336,21 +337,20 @@ def c_fsum(terms):
     return library.freshsched_fsum(np.array(terms, float), len(terms))
 
 
-# each tells an exact sum from a near miss: [1e-16, 1, 1e16] from one without
-# the half-even fix-up, [0.1] * 10 from a naive sum
-FSUM_CASES = [[1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, -1e100], [0.1] * 10,
-              [5e-324, 5e-324, -1e-310, 2.2250738585072009e-308, 1e-320], [], [1.0],
+# each tells an exact sum from a near miss: [1e-16, 1, 1e16] from one that
+# drops the bits below a tie, [0.1] * 10 from a naive sum
+FSUM_CASES = [[1e-16, 1.0, 1e16], [1.0, 1e100, 1.0, 1e100], [0.1] * 10,
+              [5e-324, 5e-324, 1e-310, 2.2250738585072009e-308, 1e-320], [], [1.0],
               [1.0, 2.0 ** -53, 2.0 ** -53],
-              # terms that are all finite with the sign bit clear take the
-              # integer bins: ties to even, down and then up, and a tie broken
-              # by a bit far below it
+              # ties to even, down and then up, and a tie broken by a bit far
+              # below it
               [2.0 ** 53, 1.0], [2.0 ** 53, 3.0], [2.0 ** 53, 1.0, 2.0 ** -100],
               # subnormals only, whose sum is exact
               [5e-324, 2.0 ** -1060, 2.2250738585072004e-308, 1e-320],
               # a sum just inside DBL_MAX (one past it is among the NaN cases)
               [1.7976931348623157e308 / 4] * 3,
-              # a -0.0 term sends all of them to the partials
-              [1.0, -0.0, 2.0 ** -60],
+              # +0.0 among the terms
+              [1.0, 0.0, 2.0 ** -60],
               # 100 000 mantissas of 2**52 + 1 in one bin overflow its low word
               [float(2 ** 52 + 1)] * 100_000]
 
@@ -369,7 +369,7 @@ def random_terms(kind, rng, n):
     signs = rng.choice([-1.0, 1.0], n)
     if kind == "exponential":
         return rng.exponential(size=n)
-    if kind == "e-700-to-e700":  # most need more than 64 partials
+    if kind == "e-700-to-e700":  # magnitudes from e^-700 to e^700, mixed signs
         return signs * np.exp(rng.uniform(-700.0, 700.0, n))
     if kind == "positive-e-745-to-e700":  # subnormals to 1e304, in the integer bins
         return np.exp(rng.uniform(-745.0, 700.0, n))
@@ -386,16 +386,27 @@ def random_terms(kind, rng, n):
                                                    "scaled-integers", "powers-of-two",
                                                    "positive-e-745-to-e700"]))
 def test_the_c_sum_is_math_fsum_on_seeded_terms(seed, kind):
+    # the signed kinds are summed with their signs cleared, and as drawn
+    # give NaN if any term has its sign bit set
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        terms = random_terms(kind, rng, rng.integers(1, 500)).tolist()
+        drawn = random_terms(kind, rng, rng.integers(1, 500))
+        terms = np.abs(drawn).tolist()
         assert c_fsum(terms) == math.fsum(terms), terms
+        if np.signbit(drawn).any():
+            assert math.isnan(c_fsum(drawn.tolist())), drawn.tolist()
 
 
 @needs_compiler
 def test_the_c_sum_is_nan_where_math_fsum_raises():
-    assert c_fsum([math.inf, 1.0]) == math.fsum([math.inf, 1.0]) == math.inf
+    # NaN too wherever a term is not finite or has its sign bit set: no
+    # peak-age sample is either
+    assert math.isnan(c_fsum([math.inf, 1.0]))
     assert math.isnan(c_fsum([1.0, math.nan]))
+    for terms in ([1.0, 1e100, 1.0, -1e100],
+                  [5e-324, 5e-324, -1e-310, 2.2250738585072009e-308, 1e-320],
+                  [1.0, -0.0, 2.0 ** -60]):
+        assert math.isnan(c_fsum(terms)), terms
     for terms, error in (([math.inf, -math.inf], ValueError),
                          ([1e308, 1e308, -1e308], OverflowError),  # an intermediate overflow
                          # finite and positive, but the sum rounds past DBL_MAX

@@ -87,7 +87,7 @@ class TestSampleExponential:
 
         rate, horizon = 1.0, 50.0
         stream = NearOneFirst()
-        epochs = simulator._arrival_epochs(rate, stream, horizon).tolist()
+        epochs = simulator._arrival_epochs(rate, simulator.UnitDraws(stream), horizon).tolist()
         assert len(stream.blocks) == 2
         expected, t = [], 0.0
         for u in np.concatenate(stream.blocks).tolist():
